@@ -11,9 +11,7 @@
 // every component, in a stable machine-greppable "key value" format —
 // or, with --json, one JSON document carrying the config echo, the
 // results and every typed stat (see docs/observability.md).
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,6 +26,7 @@
 #include "check/repro.hpp"
 #include "ckpt/journal.hpp"
 #include "ckpt/spec_codec.hpp"
+#include "common/cli_parse.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "common/version.hpp"
@@ -44,6 +43,10 @@
 using namespace virec;
 
 namespace {
+
+using cli::parse_double;
+using cli::parse_u32;
+using cli::parse_u64;
 
 struct Options {
   sim::RunSpec spec;
@@ -69,7 +72,6 @@ struct Options {
   bool window_insts_set = false;
   bool warmup_insts_set = false;
   bool adaptive_warmup_set = false;
-  bool warm_set_sample_set = false;
   bool sweep = false;
   u32 jobs = 0;            // 0 = hardware concurrency
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
@@ -152,11 +154,6 @@ void print_usage() {
       "                      chunks of W instructions while the dcache\n"
       "                      miss rate is still converging (default 1 =\n"
       "                      fixed warm-up; docs/performance.md)\n"
-      "  --warm-set-sample K with --sample-windows: only warm dcache\n"
-      "                      sets with index % K == 0 between windows\n"
-      "                      (K a power of two; default 1 = exact).\n"
-      "                      Faster but APPROXIMATE — estimates are no\n"
-      "                      longer bit-identical to K=1\n"
       "  --stream-store DIR  persist recorded functional streams in DIR\n"
       "                      (<identity>.vfs) and reuse them across\n"
       "                      processes; sampled sweep points sharing a\n"
@@ -171,18 +168,6 @@ void print_usage() {
       "                      step every cycle. Results are bit-identical\n"
       "                      either way (docs/performance.md); use this\n"
       "                      only to bisect the simulator itself\n"
-      "  --pdes-jobs N       partition the simulated cores across N\n"
-      "                      worker threads (conservative PDES,\n"
-      "                      docs/performance.md). Results stay bit-\n"
-      "                      identical to the serial loop; like\n"
-      "                      --no-skip this is purely a simulator-speed\n"
-      "                      knob. Local runs only (ignored by --check\n"
-      "                      and single-core systems)\n"
-      "  --relaxed-sync      with --pdes-jobs: let partitions race\n"
-      "                      within one crossbar round trip instead of\n"
-      "                      synchronizing exactly. Faster but NOT\n"
-      "                      deterministic — never use for recorded\n"
-      "                      experiments\n"
       "  --check             run the lockstep reference oracle and hard\n"
       "                      invariants alongside the simulation; abort\n"
       "                      with a divergence report on any mismatch\n"
@@ -213,28 +198,6 @@ void print_usage() {
       "                      single-run reports/...) stay local-only\n"
       "  --list              list workloads and exit\n"
       "  --version           print build provenance and exit\n";
-}
-
-/// Strict numeric parsing: the whole value must be consumed, so
-/// "--threads 8x" is an error instead of silently parsing as 8.
-u64 parse_u64(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const u64 out = std::strtoull(v.c_str(), &end, 0);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
-}
-
-double parse_double(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
 }
 
 std::vector<std::string> split_csv(const std::string& flag,
@@ -278,6 +241,7 @@ bool parse(int argc, char** argv, Options& opt) {
       return args[++i];
     };
     auto u64_value = [&]() { return parse_u64(arg, value()); };
+    auto u32_value = [&]() { return parse_u32(arg, value()); };
     if (arg == "--help" || arg == "-h") opt.help = true;
     else if (arg == "--version") opt.version = true;
     else if (arg == "--connect") opt.connect_path = value();
@@ -286,7 +250,7 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--trace") opt.trace = true;
     else if (arg == "--area") opt.area = true;
     else if (arg == "--sweep") opt.sweep = true;
-    else if (arg == "--jobs") opt.jobs = static_cast<u32>(u64_value());
+    else if (arg == "--jobs") opt.jobs = u32_value();
     else if (arg == "--group-spill") opt.spec.group_spill = true;
     else if (arg == "--switch-prefetch") opt.spec.switch_prefetch = true;
     else if (arg == "--workload") opt.workload_arg = value();
@@ -296,24 +260,21 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--cores") opt.cores_arg = value();
     else if (arg == "--ctx") opt.ctx_arg = value();
     else if (arg == "--regs")
-      opt.spec.phys_regs = static_cast<u32>(u64_value());
+      opt.spec.phys_regs = u32_value();
     else if (arg == "--iters") opt.spec.params.iters_per_thread = u64_value();
     else if (arg == "--elements") opt.spec.params.elements = u64_value();
     else if (arg == "--stride") opt.spec.params.stride = u64_value();
     else if (arg == "--window")
       opt.spec.params.locality_window = u64_value();
     else if (arg == "--dcache-bytes")
-      opt.spec.dcache_bytes = static_cast<u32>(u64_value());
+      opt.spec.dcache_bytes = u32_value();
     else if (arg == "--dcache-latency")
-      opt.spec.dcache_latency = static_cast<u32>(u64_value());
+      opt.spec.dcache_latency = u32_value();
     else if (arg == "--seed") opt.spec.params.seed = u64_value();
     else if (arg == "--max-cycles") opt.spec.max_cycles = u64_value();
     else if (arg == "--no-skip") opt.spec.no_skip = true;
-    else if (arg == "--pdes-jobs")
-      opt.spec.pdes_jobs = static_cast<u32>(u64_value());
-    else if (arg == "--relaxed-sync") opt.spec.relaxed_sync = true;
     else if (arg == "--sample-windows")
-      opt.spec.sample_windows = static_cast<u32>(u64_value());
+      opt.spec.sample_windows = u32_value();
     else if (arg == "--window-insts") {
       opt.spec.window_insts = u64_value();
       opt.window_insts_set = true;
@@ -324,12 +285,8 @@ bool parse(int argc, char** argv, Options& opt) {
     }
     else if (arg == "--functional-ff") opt.spec.functional_ff = true;
     else if (arg == "--adaptive-warmup") {
-      opt.spec.adaptive_warmup = static_cast<u32>(u64_value());
+      opt.spec.adaptive_warmup = u32_value();
       opt.adaptive_warmup_set = true;
-    }
-    else if (arg == "--warm-set-sample") {
-      opt.spec.warm_set_sample = static_cast<u32>(u64_value());
-      opt.warm_set_sample_set = true;
     }
     else if (arg == "--stream-store") opt.spec.stream_dir = value();
     else if (arg == "--no-stream-reuse") opt.spec.stream_reuse = false;
@@ -340,7 +297,7 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--check") opt.spec.check = true;
     else if (arg == "--replay") opt.replay_path = value();
     else if (arg == "--trace-core")
-      opt.trace_core = static_cast<u32>(u64_value());
+      opt.trace_core = u32_value();
     else if (arg == "--trace-out") opt.trace_out = value();
     else if (arg == "--sample-interval") opt.sample_interval = u64_value();
     else if (arg == "--cpi-stack") opt.cpi_stack = true;
@@ -379,12 +336,12 @@ bool parse(int argc, char** argv, Options& opt) {
           core::parse_policy(single_value("--policy", opt.policy_arg));
     }
     if (!opt.threads_arg.empty()) {
-      opt.spec.threads_per_core = static_cast<u32>(
-          parse_u64("--threads", single_value("--threads", opt.threads_arg)));
+      opt.spec.threads_per_core =
+          parse_u32("--threads", single_value("--threads", opt.threads_arg));
     }
     if (!opt.cores_arg.empty()) {
-      opt.spec.num_cores = static_cast<u32>(
-          parse_u64("--cores", single_value("--cores", opt.cores_arg)));
+      opt.spec.num_cores =
+          parse_u32("--cores", single_value("--cores", opt.cores_arg));
     }
     if (!opt.ctx_arg.empty()) {
       opt.spec.context_fraction =
@@ -401,22 +358,15 @@ bool parse(int argc, char** argv, Options& opt) {
   if (opt.window_insts_set && opt.spec.window_insts == 0) {
     throw std::invalid_argument("--window-insts: must be > 0");
   }
-  if ((opt.adaptive_warmup_set || opt.warm_set_sample_set ||
-       !opt.spec.stream_dir.empty() || !opt.spec.stream_reuse) &&
+  if ((opt.adaptive_warmup_set || !opt.spec.stream_dir.empty() ||
+       !opt.spec.stream_reuse) &&
       opt.spec.sample_windows == 0) {
     throw std::invalid_argument(
-        "--adaptive-warmup/--warm-set-sample/--stream-store/"
-        "--no-stream-reuse tune sampled measurement and need "
-        "--sample-windows");
+        "--adaptive-warmup/--stream-store/--no-stream-reuse tune sampled "
+        "measurement and need --sample-windows");
   }
   if (opt.adaptive_warmup_set && opt.spec.adaptive_warmup == 0) {
     throw std::invalid_argument("--adaptive-warmup: must be >= 1");
-  }
-  if (opt.warm_set_sample_set &&
-      (opt.spec.warm_set_sample == 0 ||
-       (opt.spec.warm_set_sample & (opt.spec.warm_set_sample - 1)) != 0)) {
-    throw std::invalid_argument(
-        "--warm-set-sample: must be a power of two >= 1");
   }
   if (opt.spec.sample_windows > 0 && opt.spec.functional_ff) {
     throw std::invalid_argument(
@@ -428,16 +378,6 @@ bool parse(int argc, char** argv, Options& opt) {
         "--check validates the full detailed model, which sampling "
         "deliberately skips most of; use --functional-ff --check to "
         "validate the functional tier");
-  }
-  if (opt.spec.relaxed_sync && opt.spec.pdes_jobs == 0) {
-    throw std::invalid_argument("--relaxed-sync needs --pdes-jobs");
-  }
-  if (opt.spec.pdes_jobs > 0 &&
-      (opt.spec.sample_windows > 0 || opt.spec.functional_ff)) {
-    throw std::invalid_argument(
-        "--pdes-jobs parallelizes the detailed run loop and cannot be "
-        "combined with --sample-windows/--functional-ff (the tiered "
-        "runner drives the cores itself)");
   }
   return true;
 }
@@ -467,14 +407,14 @@ sim::Sweep build_sweep(const Options& opt) {
   if (!opt.threads_arg.empty()) {
     std::vector<u32> threads;
     for (const std::string& t : split_csv("--threads", opt.threads_arg)) {
-      threads.push_back(static_cast<u32>(parse_u64("--threads", t)));
+      threads.push_back(parse_u32("--threads", t));
     }
     sweep.over_threads(std::move(threads));
   }
   if (!opt.cores_arg.empty()) {
     std::vector<u32> cores;
     for (const std::string& c : split_csv("--cores", opt.cores_arg)) {
-      cores.push_back(static_cast<u32>(parse_u64("--cores", c)));
+      cores.push_back(parse_u32("--cores", c));
     }
     sweep.over_cores(std::move(cores));
   }
@@ -734,7 +674,6 @@ int run_tiered_mode(const Options& opt) {
   tiered.warmup_insts = opt.spec.warmup_insts;
   tiered.functional_ff = opt.spec.functional_ff;
   tiered.adaptive_warmup = opt.spec.adaptive_warmup;
-  tiered.warm_set_sample = opt.spec.warm_set_sample;
   tiered.stream_key =
       opt.spec.stream_reuse ? ckpt::functional_stream_hash(opt.spec) : 0;
   tiered.stream_dir = opt.spec.stream_dir;
@@ -787,7 +726,6 @@ int run_tiered_mode(const Options& opt) {
       w.kv("window_insts", opt.spec.window_insts);
       w.kv("warmup_insts", opt.spec.warmup_insts);
       w.kv("adaptive_warmup", opt.spec.adaptive_warmup);
-      w.kv("warm_set_sample", opt.spec.warm_set_sample);
       w.kv("functional_ff", opt.spec.functional_ff);
       w.end_object();
       w.key("tiered");
@@ -857,7 +795,6 @@ int run_tiered_mode(const Options& opt) {
                 << "window_insts " << opt.spec.window_insts << "\n"
                 << "warmup_insts " << opt.spec.warmup_insts << "\n"
                 << "adaptive_warmup " << opt.spec.adaptive_warmup << "\n"
-                << "warm_set_sample " << opt.spec.warm_set_sample << "\n"
                 << "cpi_mean " << result.cpi_mean << "\n"
                 << "cpi_ci_half " << result.cpi_ci_half << "\n"
                 << "est_cycles " << result.est_cycles << "\n"
@@ -942,11 +879,6 @@ int run_connect_single(const Options& opt) {
     throw std::invalid_argument(
         "--sample-windows/--functional-ff report tiered estimates the "
         "service protocol does not carry; run them locally");
-  }
-  if (opt.spec.pdes_jobs > 0) {
-    throw std::invalid_argument(
-        "--pdes-jobs parallelizes the local run loop; the daemon "
-        "schedules its own workers (drop the flag with --connect)");
   }
   // Validates the workload name before dialling the daemon.
   const workloads::Workload& workload =
@@ -1183,9 +1115,6 @@ int main(int argc, char** argv) {
       system.set_checkpointing(opt.checkpoint_every, opt.checkpoint_out);
     }
     if (opt.spec.check) system.enable_check();
-    if (opt.spec.pdes_jobs > 0) {
-      system.set_pdes(opt.spec.pdes_jobs, opt.spec.relaxed_sync);
-    }
     // Restore after all sinks are attached so the continued run traces
     // and samples exactly like the tail of an uninterrupted one.
     if (!opt.restore_path.empty()) system.restore(opt.restore_path);

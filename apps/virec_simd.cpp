@@ -33,6 +33,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/cli_parse.hpp"
 #include "common/json.hpp"
 #include "common/json_parse.hpp"
 #include "common/version.hpp"
@@ -81,16 +82,6 @@ void print_usage() {
       "  --version         print build provenance and exit\n";
 }
 
-u64 parse_u64(const std::string& flag, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const u64 out = std::strtoull(v.c_str(), &end, 0);
-  if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE) {
-    throw std::invalid_argument(flag + ": invalid number '" + v + "'");
-  }
-  return out;
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   std::vector<std::string> args(argv + 1, argv + argc);
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -105,23 +96,20 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (arg == "--version") opt.version = true;
     else if (arg == "--socket") opt.socket_path = value();
     else if (arg == "--store") opt.store_dir = value();
-    else if (arg == "--jobs") opt.jobs = static_cast<u32>(parse_u64(arg, value()));
-    else if (arg == "--max-pending") opt.max_pending = parse_u64(arg, value());
+    else if (arg == "--jobs") opt.jobs = cli::parse_u32(arg, value());
+    else if (arg == "--max-pending")
+      opt.max_pending = cli::parse_u64(arg, value());
     else if (arg == "--retry-after") {
-      errno = 0;
-      char* end = nullptr;
-      const std::string v = value();
-      opt.retry_after_secs = std::strtod(v.c_str(), &end);
-      if (v.empty() || end != v.c_str() + v.size() || errno == ERANGE ||
-          opt.retry_after_secs < 0) {
-        throw std::invalid_argument("--retry-after: invalid '" + v + "'");
+      opt.retry_after_secs = cli::parse_double(arg, value());
+      if (!(opt.retry_after_secs >= 0)) {
+        throw std::invalid_argument("--retry-after: must be >= 0");
       }
     }
     else if (arg == "--store-verify") opt.store_verify = true;
     else if (arg == "--repair") opt.repair = true;
     else if (arg == "--store-gc") {
       opt.store_gc = true;
-      opt.gc_keep = parse_u64(arg, value());
+      opt.gc_keep = cli::parse_u64(arg, value());
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return false;

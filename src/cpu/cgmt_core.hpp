@@ -9,14 +9,6 @@
 // operand access timing, commit notifications and context-switch costs
 // all flow through that interface, which is how the banked, software,
 // prefetching and ViReC schemes plug into the same pipeline.
-//
-// Threading: a core and everything it owns (pipeline latches, context
-// manager, store queue, its private dcache slice, stats) is
-// single-threaded state. Under the parallel PDES run mode
-// (sim/system.cpp) each core belongs to exactly one partition and is
-// only ever stepped by that partition's worker thread; all
-// cross-thread traffic goes through the PdesGateway below the private
-// caches. Nothing in this class needs (or has) internal locking.
 #pragma once
 
 #include <string>

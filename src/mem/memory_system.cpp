@@ -13,17 +13,8 @@ MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
     below = l2_.get();
   }
   for (u32 c = 0; c < config_.num_cores; ++c) {
-    gateways_.push_back(std::make_unique<PdesGateway>(*below));
-    icaches_.push_back(std::make_unique<Cache>(config_.icache, *gateways_[c]));
-    dcaches_.push_back(std::make_unique<Cache>(config_.dcache, *gateways_[c]));
-  }
-}
-
-void MemorySystem::set_pdes_gate(PdesGate* gate,
-                                 const std::vector<u32>& partition_of_core) {
-  for (u32 c = 0; c < config_.num_cores; ++c) {
-    const u32 p = gate != nullptr ? partition_of_core[c] : 0;
-    gateways_[c]->set_gate(gate, p);
+    icaches_.push_back(std::make_unique<Cache>(config_.icache, *below));
+    dcaches_.push_back(std::make_unique<Cache>(config_.dcache, *below));
   }
 }
 

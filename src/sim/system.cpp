@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
-
-#include "common/pdes.hpp"
 
 namespace virec::sim {
 
@@ -183,13 +178,8 @@ RunResult System::run() {
     sample_prev_instructions_ = 0;
   }
   restored_ = false;
-  if (pdes_jobs_ > 0 && cores_.size() > 1 && !check_) {
-    // Conservative PDES over a worker pool. The lockstep oracle
-    // (enable_check) replays commits against a serial interpreter, so
-    // checked runs stay on the serial reference loop.
-    run_pdes_loop();
-  } else if (cores_.size() == 1 && sample_interval_ == 0 &&
-             checkpoint_every_ == 0 && !progress_) {
+  if (cores_.size() == 1 && sample_interval_ == 0 &&
+      checkpoint_every_ == 0 && !progress_) {
     cores_[0]->run();
   } else {
     run_lockstep_loop();
@@ -330,255 +320,6 @@ void System::run_lockstep_loop() {
   if (progress_) {
     emit_progress(wall_start, run_start_cycle, skipped_cycles);
   }
-}
-
-void System::run_pdes_loop() {
-  const u32 num_cores = static_cast<u32>(cores_.size());
-  const u32 parts = std::min(pdes_jobs_, num_cores);
-  // Contiguous core blocks, one per worker: a partition owns its cores,
-  // their private L1 slices and store queues outright, so the only
-  // cross-thread state is the shared boundary behind the per-core
-  // gateways plus the functional page maps (sharded).
-  std::vector<u32> part_lo(parts), part_hi(parts), part_of(num_cores);
-  for (u32 p = 0; p < parts; ++p) {
-    part_lo[p] = num_cores * p / parts;
-    part_hi[p] = num_cores * (p + 1) / parts;
-    for (u32 c = part_lo[p]; c < part_hi[p]; ++c) part_of[c] = p;
-  }
-  // Relaxed-mode slack: one crossbar round trip (request and response
-  // hops plus the line transfer). Within that window reordered shared
-  // accesses at most swap places inside latency the cores cannot
-  // observe anyway, keeping relaxed results plausible — though not
-  // deterministic (docs/performance.md).
-  const Cycle window =
-      pdes_relaxed_
-          ? 2 * config_.mem.xbar.latency + config_.mem.xbar.cycles_per_line
-          : 0;
-  PdesGate gate(parts, window);
-  ms_->set_pdes_gate(&gate, part_of);
-  ms_->memory().set_concurrent(true);
-
-  Cycle next_checkpoint = 0;
-  if (checkpoint_every_ > 0) {
-    const Cycle now = max_core_cycle();
-    next_checkpoint = checkpoint_every_;
-    while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
-  }
-  const Cycle limit = config_.core.max_cycles + 1 == 0
-                          ? kNeverCycle
-                          : config_.core.max_cycles + 1;
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto emit_period =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(progress_every_secs_));
-  auto next_emit = wall_start + emit_period;
-  const Cycle run_start_cycle = max_core_cycle();
-
-  // Epoch barrier: the coordinator publishes an epoch end (the next
-  // sampling/checkpoint grid point or the watchdog limit), every worker
-  // free-runs its partition up to it, and the coordinator observes the
-  // quiescent system between epochs exactly where the lockstep loop
-  // would.
-  struct EpochCtl {
-    std::mutex mu;
-    std::condition_variable go_cv;
-    std::condition_variable done_cv;
-    u64 epoch = 0;
-    Cycle epoch_end = 0;
-    bool quit = false;
-    u32 done_count = 0;
-    Cycle skipped_cycles = 0;  // telemetry for the progress heartbeat
-    std::exception_ptr error;
-  } ctl;
-
-  // Run partition p (cores [lo, hi)) to its epoch end in partition-
-  // local lockstep. Invariant: all live cores of a partition share one
-  // cycle (they start together and step/skip together), so the
-  // published keys walk ascending (cycle, core) order — the global
-  // shared-access order of the serial lockstep loop.
-  const auto run_partition_epoch = [this, &gate](u32 p, u32 lo, u32 hi,
-                                                 Cycle epoch_end,
-                                                 Cycle* skipped) {
-    for (;;) {
-      Cycle now0 = 0;
-      bool live = false;
-      for (u32 c = lo; c < hi; ++c) {
-        if (cores_[c]->done()) continue;
-        live = true;
-        now0 = std::max(now0, cores_[c]->cycle());
-      }
-      if (!live) {
-        gate.publish(p, PdesGate::kDoneBound);
-        return;
-      }
-      if (now0 >= epoch_end) {
-        gate.publish(p, PdesGate::key_of(epoch_end, 0));
-        return;
-      }
-      bool skipped_now = false;
-      if (config_.core.skip) {
-        // Partition-local event skip. No clamp to the shared levels'
-        // next event is needed: quiet cores touch nothing shared, and
-        // skip_to is chunking-invariant, so skipping further in one
-        // jump than the serial loop would is still bit-exact.
-        Cycle target = kNeverCycle;
-        bool quiet = true;
-        for (u32 c = lo; c < hi; ++c) {
-          if (cores_[c]->done()) continue;
-          if (!cores_[c]->maybe_quiet()) {
-            quiet = false;
-            break;
-          }
-          target = std::min(target, cores_[c]->next_event_cycle());
-          if (target <= now0 + 1) {
-            quiet = false;  // someone works next cycle
-            break;
-          }
-        }
-        if (quiet) {
-          target = std::min(target, epoch_end);
-          if (target > now0 + 1) {
-            // Commit first: nothing shared happens before (target, 0).
-            gate.publish(p, PdesGate::key_of(target, 0));
-            for (u32 c = lo; c < hi; ++c) {
-              if (!cores_[c]->done()) cores_[c]->skip_to(target);
-            }
-            *skipped += target - now0;
-            skipped_now = true;
-          }
-        }
-      }
-      if (!skipped_now) {
-        for (u32 c = lo; c < hi; ++c) {
-          if (cores_[c]->done()) continue;
-          gate.publish(p, PdesGate::key_of(now0, c));
-          cores_[c]->step();
-        }
-      }
-    }
-  };
-
-  const auto worker_fn = [&ctl, &gate, &run_partition_epoch, &part_lo,
-                          &part_hi](u32 p) {
-    u64 seen = 0;
-    for (;;) {
-      Cycle epoch_end = 0;
-      {
-        std::unique_lock<std::mutex> lock(ctl.mu);
-        ctl.go_cv.wait(lock, [&] { return ctl.quit || ctl.epoch != seen; });
-        if (ctl.quit) return;
-        seen = ctl.epoch;
-        epoch_end = ctl.epoch_end;
-      }
-      Cycle skipped = 0;
-      try {
-        run_partition_epoch(p, part_lo[p], part_hi[p], epoch_end, &skipped);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(ctl.mu);
-          if (!ctl.error) ctl.error = std::current_exception();
-        }
-        // Storing the error before aborting guarantees PdesAborted
-        // unwinds from other workers never shadow the root cause.
-        gate.abort();
-      }
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        ctl.skipped_cycles += skipped;
-        if (++ctl.done_count == part_lo.size()) ctl.done_cv.notify_one();
-      }
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(parts);
-  const auto shutdown = [&]() {
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      ctl.quit = true;
-    }
-    ctl.go_cv.notify_all();
-    for (auto& w : workers) {
-      if (w.joinable()) w.join();
-    }
-    ms_->set_pdes_gate(nullptr, {});
-    ms_->memory().set_concurrent(false);
-  };
-
-  try {
-    for (u32 p = 0; p < parts; ++p) workers.emplace_back(worker_fn, p);
-    std::exception_ptr worker_error;
-    for (;;) {
-      bool live = false;
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          live = true;
-          break;
-        }
-      }
-      if (!live) break;
-      Cycle epoch_end = limit;
-      if (sample_interval_ > 0) epoch_end = std::min(epoch_end, sample_next_);
-      if (checkpoint_every_ > 0) {
-        epoch_end = std::min(epoch_end, next_checkpoint);
-      }
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        ctl.epoch_end = epoch_end;
-        ctl.done_count = 0;
-        ++ctl.epoch;
-      }
-      ctl.go_cv.notify_all();
-      Cycle skipped_cycles = 0;
-      {
-        std::unique_lock<std::mutex> lock(ctl.mu);
-        ctl.done_cv.wait(lock, [&] { return ctl.done_count == parts; });
-        worker_error = ctl.error;
-        skipped_cycles = ctl.skipped_cycles;
-      }
-      if (worker_error) break;
-      // Between epochs the workers are parked, so the coordinator
-      // observes and mutates freely — in the lockstep loop's order:
-      // sample, checkpoint, heartbeat, watchdog.
-      const Cycle now = max_core_cycle();
-      if (sample_interval_ > 0 && now >= sample_next_) {
-        take_sample(sample_prev_cycle_, sample_prev_instructions_);
-        if (!samples_.empty()) {
-          sample_prev_cycle_ = samples_.back().cycle;
-          sample_prev_instructions_ = samples_.back().instructions;
-        }
-        while (sample_next_ <= now) sample_next_ += sample_interval_;
-      }
-      if (checkpoint_every_ > 0 && now >= next_checkpoint) {
-        save(checkpoint_dir_ + "/ckpt-" + std::to_string(now) + ".vckpt");
-        while (next_checkpoint <= now) next_checkpoint += checkpoint_every_;
-      }
-      if (progress_) {
-        const auto now_wall = std::chrono::steady_clock::now();
-        if (now_wall >= next_emit) {
-          emit_progress(wall_start, run_start_cycle, skipped_cycles);
-          next_emit = now_wall + emit_period;
-        }
-      }
-      if (now > config_.core.max_cycles) throw_watchdog();
-    }
-    if (worker_error) std::rethrow_exception(worker_error);
-    if (sample_interval_ > 0) {
-      take_sample(sample_prev_cycle_, sample_prev_instructions_);
-    }
-    if (progress_) {
-      Cycle skipped_cycles = 0;
-      {
-        std::lock_guard<std::mutex> lock(ctl.mu);
-        skipped_cycles = ctl.skipped_cycles;
-      }
-      emit_progress(wall_start, run_start_cycle, skipped_cycles);
-    }
-  } catch (...) {
-    shutdown();
-    throw;
-  }
-  shutdown();
 }
 
 u64 System::total_instructions() const {

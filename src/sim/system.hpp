@@ -188,19 +188,6 @@ class System {
     checkpoint_dir_ = std::move(dir);
   }
 
-  /// Run() on @p jobs worker threads with conservative PDES core
-  /// partitioning (docs/performance.md); 0 restores the serial loops.
-  /// Exact mode (@p relaxed_sync false) is bit-identical to lockstep.
-  /// A pure simulator-speed knob like `skip`: it is excluded from
-  /// config_hash(), so checkpoints move freely between parallel and
-  /// serial runs. Ignored (serial fallback) for single-core systems
-  /// and when the lockstep oracle (enable_check) is armed.
-  void set_pdes(u32 jobs, bool relaxed_sync = false) {
-    pdes_jobs_ = jobs;
-    pdes_relaxed_ = relaxed_sync;
-  }
-  u32 pdes_jobs() const { return pdes_jobs_; }
-
  private:
   void offload_contexts();
   std::unique_ptr<cpu::ContextManager> make_manager(const cpu::CoreEnv& env);
@@ -214,12 +201,9 @@ class System {
   /// would in a stepped run. <= now + 1 means "no profitable skip".
   Cycle global_skip_target(Cycle now, Cycle next_checkpoint,
                            Cycle limit) const;
-  /// The serial reference loop of run() (lockstep stepping plus the
+  /// The multi-core run loop of run() (lockstep stepping plus the
   /// sampling/checkpoint/progress/watchdog observers).
   void run_lockstep_loop();
-  /// The conservative-PDES run loop (partitioned cores on a worker
-  /// pool); bit-identical to run_lockstep_loop() in exact mode.
-  void run_pdes_loop();
   /// Throw the watchdog error naming every stuck core.
   [[noreturn]] void throw_watchdog() const;
   /// Build and emit one RunProgress heartbeat.
@@ -248,8 +232,6 @@ class System {
   u64 sample_prev_instructions_ = 0;
   Cycle checkpoint_every_ = 0;
   std::string checkpoint_dir_;
-  u32 pdes_jobs_ = 0;
-  bool pdes_relaxed_ = false;
   /// run() continues from restored state instead of starting fresh.
   bool restored_ = false;
 };

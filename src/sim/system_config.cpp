@@ -1,6 +1,9 @@
 #include "sim/system_config.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace virec::sim {
@@ -50,10 +53,19 @@ SystemConfig SystemConfig::nmp_default() {
 }
 
 u32 context_regs(double fraction, u32 active_regs, u32 threads) {
+  std::ostringstream why;
+  why << "context fraction " << fraction;
+  if (!std::isfinite(fraction) || fraction <= 0.0) {
+    why << " is not a finite number > 0";
+    throw std::invalid_argument(why.str());
+  }
   const double per_thread = fraction * static_cast<double>(active_regs);
-  const u32 total = static_cast<u32>(
-      std::ceil(per_thread * static_cast<double>(threads)));
-  return std::max<u32>(total, 4);
+  const double total = std::ceil(per_thread * static_cast<double>(threads));
+  if (total > static_cast<double>(std::numeric_limits<u32>::max())) {
+    why << " needs " << total << " physical registers (max 4294967295)";
+    throw std::invalid_argument(why.str());
+  }
+  return std::max<u32>(static_cast<u32>(total), 4);
 }
 
 }  // namespace virec::sim

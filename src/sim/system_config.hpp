@@ -41,6 +41,8 @@ struct SystemConfig {
 
 /// Physical registers for a ViReC processor that stores @p fraction of
 /// each thread's @p active_regs-register context (Figures 1, 9, 10).
+/// Throws std::invalid_argument if @p fraction is not finite, is <= 0,
+/// or needs more than UINT32_MAX registers.
 u32 context_regs(double fraction, u32 active_regs, u32 threads);
 
 }  // namespace virec::sim

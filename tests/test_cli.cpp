@@ -303,6 +303,31 @@ TEST(Cli, TrailingGarbageInNumberIsRejected) {
   EXPECT_NE(d.output.find("--ctx"), std::string::npos) << d.output;
 }
 
+TEST(Cli, U32FlagsRejectOutOfRangeNumbers) {
+  // 2^32 + 1 once wrapped to 1 core and 2^32 to "no dcache override".
+  for (const char* args : {"--cores 4294967297", "--dcache-bytes 4294967296",
+                           "--sweep --threads 8,4294967304 --iters 8"}) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_NE(r.output.find("error:"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("out of range"), std::string::npos) << r.output;
+  }
+  const CliResult neg = run_cli("--iters -1");
+  EXPECT_EQ(neg.exit_code, 2);
+  EXPECT_NE(neg.output.find("invalid number"), std::string::npos)
+      << neg.output;
+}
+
+TEST(Cli, BadContextFractionIsRejected) {
+  for (const char* ctx : {"nan", "inf", "-1", "0"}) {
+    const CliResult r =
+        run_cli(std::string("--ctx ") + ctx + " --iters 8 --elements 1024");
+    EXPECT_EQ(r.exit_code, 2) << ctx << ": " << r.output;
+    EXPECT_NE(r.output.find("context fraction"), std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(Cli, TraceCoreOutOfRangeIsRejected) {
   const CliResult r = run_cli("--trace-core 3 --iters 8 --elements 1024");
   EXPECT_EQ(r.exit_code, 2);

@@ -165,11 +165,14 @@ TEST(Skip, PointerChaseEquivalence) {
 
 // ---------------------------------------------------------------------
 // Multi-core contention: the lockstep loop may only jump to the global
-// minimum next event, or crossbar/DRAM interleaving would diverge.
+// minimum next event, or crossbar/DRAM interleaving would diverge. The
+// odd core count keeps the loop honest when cores finish unevenly.
 
-TEST(Skip, MulticoreContentionEquivalence) {
+class SkipMulticore : public ::testing::TestWithParam<u32> {};
+
+TEST_P(SkipMulticore, ContentionEquivalence) {
   RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
-  spec.num_cores = 2;
+  spec.num_cores = GetParam();
   std::unique_ptr<System> skip, stepped;
   const auto [ra, rb] = run_both(spec, &skip, &stepped);
   ASSERT_TRUE(ra.check_ok) << ra.check_msg;
@@ -177,17 +180,23 @@ TEST(Skip, MulticoreContentionEquivalence) {
   expect_stats_identical(*skip, *stepped);
 }
 
+INSTANTIATE_TEST_SUITE_P(Cores, SkipMulticore, ::testing::Values(2u, 4u, 5u));
+
 // ---------------------------------------------------------------------
 // Sampling: skips are clamped to the sampling grid, so the sampled
 // time series (including instantaneous fields like runnable_threads
-// and outstanding_misses) is identical sample for sample.
+// and outstanding_misses) is identical sample for sample, on one core
+// and on the multi-core lockstep loop.
 
-TEST(Skip, SampledTimeSeriesIdentical) {
+class SkipSampled : public ::testing::TestWithParam<u32> {};
+
+TEST_P(SkipSampled, TimeSeriesIdentical) {
+  RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  spec.num_cores = GetParam();
   std::unique_ptr<System> skip, stepped;
   // An odd interval avoids aliasing with any workload period.
-  const auto [ra, rb] = run_both(tiny_spec(Scheme::kViReC,
-                                           core::PolicyKind::kLRC),
-                                 &skip, &stepped, /*sample_interval=*/237);
+  const auto [ra, rb] =
+      run_both(spec, &skip, &stepped, /*sample_interval=*/237);
   ASSERT_TRUE(ra.check_ok) << ra.check_msg;
   expect_results_identical(ra, rb);
   const std::vector<Sample>& sa = skip->samples();
@@ -206,6 +215,8 @@ TEST(Skip, SampledTimeSeriesIdentical) {
     EXPECT_EQ(sa[i].outstanding_misses, sb[i].outstanding_misses) << i;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Cores, SkipSampled, ::testing::Values(1u, 4u));
 
 // ---------------------------------------------------------------------
 // Checkpointing: skips clamp to the checkpoint grid, snapshots carry

@@ -101,5 +101,52 @@ TEST(SparseMemory, PageCountGrowsPerPage) {
   EXPECT_EQ(memory.page_count(), 2u);
 }
 
+TEST(SparseMemory, CopiesDoNotAliasThePageCache) {
+  SparseMemory original;
+  original.write_u64(0x40, 1);
+  EXPECT_EQ(original.read_u64(0x40), 1u);  // primes the one-entry cache
+  SparseMemory copy(original);
+  copy.write_u64(0x40, 2);
+  SparseMemory assigned;
+  assigned.write_u64(0x40, 9);  // primes the target's cache first
+  assigned = original;
+  assigned.write_u64(0x40, 3);
+  EXPECT_EQ(original.read_u64(0x40), 1u);
+  EXPECT_EQ(copy.read_u64(0x40), 2u);
+  EXPECT_EQ(assigned.read_u64(0x40), 3u);
+}
+
+TEST(SparseMemory, SaveStateIsSortedByPage) {
+  // Same contents, opposite insertion order: identical snapshot bytes,
+  // with page numbers ascending.
+  SparseMemory up, down;
+  const std::vector<u64> pages = {7, 1, 300, 42, 5};
+  for (const u64 no : pages) up.write_u64(no * SparseMemory::kPageSize, no);
+  for (auto it = pages.rbegin(); it != pages.rend(); ++it) {
+    down.write_u64(*it * SparseMemory::kPageSize, *it);
+  }
+  ckpt::Encoder a, b;
+  up.save_state(a);
+  down.save_state(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  ckpt::Decoder dec(a.bytes().data(), a.size());
+  ASSERT_EQ(dec.get_u64(), pages.size());
+  u64 prev = 0;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const u64 no = dec.get_u64();
+    EXPECT_GT(no, prev);
+    prev = no;
+    std::vector<u8> page(SparseMemory::kPageSize);
+    dec.raw(page.data(), page.size());
+    EXPECT_EQ(page[0], static_cast<u8>(no));
+  }
+  SparseMemory restored;
+  ckpt::Decoder again(a.bytes().data(), a.size());
+  restored.restore_state(again);
+  for (const u64 no : pages) {
+    EXPECT_EQ(restored.read_u64(no * SparseMemory::kPageSize), no);
+  }
+}
+
 }  // namespace
 }  // namespace virec::mem

@@ -2,6 +2,8 @@
 // configuration derivation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/runner.hpp"
 
 namespace virec::sim {
@@ -38,6 +40,18 @@ TEST(Config, ContextRegsScalesWithFraction) {
   EXPECT_EQ(context_regs(0.5, 6, 4), 12u);
   EXPECT_EQ(context_regs(0.4, 6, 8), 20u);  // ceil(2.4 * 8)
   EXPECT_GE(context_regs(0.01, 6, 1), 4u);  // floor of 4
+}
+
+TEST(Config, ContextRegsRejectsBadFractions) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, 0.0}) {
+    EXPECT_THROW(context_regs(bad, 6, 4), std::invalid_argument) << bad;
+  }
+  // ceil(1e9 * 6 * 8) registers cannot be counted in a u32.
+  EXPECT_THROW(context_regs(1e9, 6, 8), std::invalid_argument);
+  EXPECT_EQ(context_regs(1e8, 6, 4), 2'400'000'000u);
+  RunSpec spec;
+  spec.context_fraction = std::nan("");
+  EXPECT_THROW(build_config(spec), std::invalid_argument);
 }
 
 TEST(Runner, SpecDerivesPhysRegs) {
