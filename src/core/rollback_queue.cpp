@@ -4,29 +4,32 @@
 
 namespace virec::core {
 
-RollbackQueue::RollbackQueue(u32 depth) : depth_(depth) {}
+RollbackQueue::RollbackQueue(u32 depth) : depth_(depth), ring_(depth) {}
 
 void RollbackQueue::push(const Entry& entry) {
-  if (fifo_.size() >= depth_) {
+  if (size_ >= depth_) {
     throw std::logic_error("RollbackQueue overflow: backend deeper than queue");
   }
-  fifo_.push_back(entry);
+  ring_[slot(size_)] = entry;
+  ++size_;
 }
 
 void RollbackQueue::pop_oldest() {
-  if (fifo_.empty()) {
+  if (size_ == 0) {
     throw std::logic_error("RollbackQueue underflow on commit");
   }
-  fifo_.pop_front();
+  head_ = slot(1);
+  --size_;
 }
 
 void RollbackQueue::flush_to(TagStore& tags) {
-  for (const Entry& entry : fifo_) {
-    for (u32 i = 0; i < entry.count; ++i) {
-      tags.reset_c_bit(entry.phys[i], entry.tid[i], entry.arch[i]);
+  for (u32 i = 0; i < size_; ++i) {
+    const Entry& entry = at(i);
+    for (u32 k = 0; k < entry.count; ++k) {
+      tags.reset_c_bit(entry.phys[k], entry.tid[k], entry.arch[k]);
     }
   }
-  fifo_.clear();
+  clear();
 }
 
 }  // namespace virec::core

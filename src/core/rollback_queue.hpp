@@ -8,10 +8,14 @@
 //    one-hot vector and resets the C bits of those registers, marking
 //    them "will be replayed soon -- retain";
 //  * the oldest entry's memory-op flag feeds the CSL switch mask.
+//
+// The depth is fixed at construction, so the FIFO is a ring buffer
+// allocated once: push/pop on the per-instruction path never touch the
+// heap.
 #pragma once
 
 #include <array>
-#include <deque>
+#include <vector>
 
 #include "core/tag_store.hpp"
 
@@ -43,19 +47,20 @@ class RollbackQueue {
 
   /// Wrong-path discard (branch misprediction, post-halt fetch): drop
   /// entries without touching C bits.
-  void clear() { fifo_.clear(); }
+  void clear() { size_ = 0; }
 
   /// CSL mask input: is the oldest in-flight instruction a memory op?
-  bool oldest_is_mem() const { return !fifo_.empty() && fifo_.front().is_mem; }
+  bool oldest_is_mem() const { return size_ > 0 && ring_[head_].is_mem; }
 
-  u32 size() const { return static_cast<u32>(fifo_.size()); }
-  bool empty() const { return fifo_.empty(); }
+  u32 size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   u32 depth() const { return depth_; }
 
   /// Checkpoint the in-flight entries (oldest first).
   void save_state(ckpt::Encoder& enc) const {
-    enc.put_u32(static_cast<u32>(fifo_.size()));
-    for (const Entry& e : fifo_) {
+    enc.put_u32(size_);
+    for (u32 i = 0; i < size_; ++i) {
+      const Entry& e = at(i);
       enc.put_u32(e.count);
       for (u16 p : e.phys) enc.put_u16(p);
       for (u8 t : e.tid) enc.put_u8(t);
@@ -64,7 +69,7 @@ class RollbackQueue {
     }
   }
   void restore_state(ckpt::Decoder& dec) {
-    fifo_.clear();
+    clear();
     const u32 n = dec.get_u32();
     if (n > depth_) {
       throw ckpt::CkptError("RollbackQueue: snapshot deeper than queue");
@@ -72,17 +77,29 @@ class RollbackQueue {
     for (u32 i = 0; i < n; ++i) {
       Entry e;
       e.count = dec.get_u32();
+      if (e.count > e.phys.size()) {
+        throw ckpt::CkptError("RollbackQueue: entry register count too large");
+      }
       for (u16& p : e.phys) p = dec.get_u16();
       for (u8& t : e.tid) t = dec.get_u8();
       for (isa::RegId& a : e.arch) a = dec.get_u8();
       e.is_mem = dec.get_bool();
-      fifo_.push_back(e);
+      push(e);
     }
   }
 
  private:
+  /// Ring slot @p i places after the oldest entry (i < depth_).
+  u32 slot(u32 i) const {
+    const u32 s = head_ + i;
+    return s < depth_ ? s : s - depth_;
+  }
+  const Entry& at(u32 i) const { return ring_[slot(i)]; }
+
   u32 depth_;
-  std::deque<Entry> fifo_;
+  std::vector<Entry> ring_;  ///< depth_ slots, allocated once
+  u32 head_ = 0;             ///< slot of the oldest entry
+  u32 size_ = 0;
 };
 
 }  // namespace virec::core

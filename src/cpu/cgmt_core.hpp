@@ -80,15 +80,22 @@ class CgmtCore {
 
   /// Cheap pre-filter for the skip path: true when the core is in a
   /// state that can begin a quiet stretch (an issued memory access
-  /// still in flight, or an empty pipeline waiting on fetch / a
-  /// scheduler candidate). False means the next step() very likely
-  /// does real work, so callers step directly without paying for the
-  /// full next_event_cycle() evaluation. Purely a performance hint:
-  /// declining a possible skip is always bit-exact, because stepping
-  /// through a quiet cycle is the reference behaviour.
+  /// still in flight; with MEM empty, the oldest of EX / ID / IF
+  /// waiting on a future ready, e.g. a decode blocked on register
+  /// fills; or an empty pipeline waiting on fetch / a scheduler
+  /// candidate). False means the next step() very likely does real
+  /// work, so callers step directly without paying for the full
+  /// next_event_cycle() evaluation. Purely a performance hint:
+  /// next_event_cycle() stays the authority, and declining a possible
+  /// skip is always bit-exact, because stepping through a quiet cycle
+  /// is the reference behaviour.
   bool maybe_quiet() const {
-    if (mem_.valid) return mem_.mem_issued && cycle_ < mem_.ready;
-    if (if_.valid || id_.valid || ex_.valid) return false;
+    // A latch's ready bounds next_event_cycle(), and a skip needs a
+    // target past cycle_ + 1, so a wait ending next cycle cannot skip.
+    if (mem_.valid) return mem_.mem_issued && cycle_ + 1 < mem_.ready;
+    if (ex_.valid) return cycle_ + 1 < ex_.ready;
+    if (id_.valid) return cycle_ + 1 < id_.ready;
+    if (if_.valid) return cycle_ + 1 < if_.ready;
     return current_tid_ >= 0 &&
            (cycle_ < fetch_ready_ || fetch_pc_ >= program_.size());
   }

@@ -102,14 +102,6 @@ u32 Cache::outstanding_misses(Cycle now) const {
   return count;
 }
 
-Cycle Cache::next_event_cycle(Cycle now) const {
-  Cycle next = kNeverCycle;
-  for (const Cycle until : mshr_until_) {
-    if (until > now && until < next) next = until;
-  }
-  return next;
-}
-
 u32 Cache::pinned_lines() const {
   u32 count = 0;
   for (const Line& line : lines_) {

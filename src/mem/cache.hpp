@@ -96,12 +96,6 @@ class Cache final : public MemLevel {
   /// periodic sampling.
   u32 outstanding_misses(Cycle now) const;
 
-  /// Earliest MSHR completion strictly after @p now (kNeverCycle if
-  /// none are busy). Event-skip input: the cache resolves all timing at
-  /// access time, so between @p now and this cycle nothing it owns
-  /// changes on its own.
-  Cycle next_event_cycle(Cycle now) const;
-
   u32 num_sets() const { return num_sets_; }
   u32 assoc() const { return config_.assoc; }
 

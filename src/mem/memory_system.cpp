@@ -1,7 +1,5 @@
 #include "mem/memory_system.hpp"
 
-#include <algorithm>
-
 namespace virec::mem {
 
 MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
@@ -16,19 +14,6 @@ MemorySystem::MemorySystem(const MemSystemConfig& config) : config_(config) {
     icaches_.push_back(std::make_unique<Cache>(config_.icache, *below));
     dcaches_.push_back(std::make_unique<Cache>(config_.dcache, *below));
   }
-}
-
-Cycle MemorySystem::next_event_cycle(Cycle now) const {
-  Cycle next = std::min(dram_->next_event_cycle(now),
-                        crossbar_->next_event_cycle(now));
-  if (l2_) next = std::min(next, l2_->next_event_cycle(now));
-  for (const auto& c : icaches_) {
-    next = std::min(next, c->next_event_cycle(now));
-  }
-  for (const auto& c : dcaches_) {
-    next = std::min(next, c->next_event_cycle(now));
-  }
-  return next;
 }
 
 void MemorySystem::reset_timing() {

@@ -90,13 +90,6 @@ class MemorySystem {
   /// icache address for instruction index @p pc.
   static Addr code_addr(u64 pc) { return kCodeBase + pc * 4; }
 
-  /// Earliest future-dated timing event strictly after @p now anywhere
-  /// in the hierarchy (busy MSHRs, DRAM bank/bus release, crossbar link
-  /// release); kNeverCycle when everything is quiescent. Conservative
-  /// event-skip clamp: all hierarchy timing is resolved at access time,
-  /// so no state a core can observe changes before this cycle.
-  Cycle next_event_cycle(Cycle now) const;
-
   /// Reset all timing state (functional memory is preserved).
   void reset_timing();
 

@@ -153,21 +153,18 @@ Cycle System::max_core_cycle() const {
   return now;
 }
 
-Cycle System::global_skip_target(Cycle now, Cycle next_checkpoint,
-                                 Cycle limit) const {
-  Cycle target = kNeverCycle;
+Cycle System::loop_clock() const {
+  Cycle now = kNeverCycle;
   for (const auto& core : cores_) {
-    if (core->done()) continue;
-    // Cheap bail-out before the full event evaluation: a core that is
-    // not stall-shaped almost certainly works next cycle.
-    if (!core->maybe_quiet()) return now;
-    target = std::min(target, core->next_event_cycle());
-    if (target <= now + 1) return target;  // someone works next cycle
+    if (!core->done()) now = std::min(now, core->cycle());
   }
-  target = std::min(target, ms_->next_event_cycle(now));
-  if (sample_interval_ > 0) target = std::min(target, sample_next_);
-  if (checkpoint_every_ > 0) target = std::min(target, next_checkpoint);
-  return std::min(target, limit);
+  return now == kNeverCycle ? max_core_cycle() : now;
+}
+
+u64 System::sum_core_cycles() const {
+  u64 sum = 0;
+  for (const auto& core : cores_) sum += core->cycle();
+  return sum;
 }
 
 RunResult System::run() {
@@ -201,16 +198,17 @@ void System::throw_watchdog() const {
 }
 
 void System::emit_progress(std::chrono::steady_clock::time_point wall_start,
-                           Cycle run_start_cycle, Cycle skipped_cycles) {
+                           Cycle now, u64 start_core_cycles,
+                           u64 skipped_core_cycles) {
   RunProgress p;
-  p.cycle = max_core_cycle();
+  p.cycle = now;
   p.max_cycles = config_.core.max_cycles;
   for (auto& core : cores_) p.instructions += core->instructions();
   p.ipc = p.cycle == 0 ? 0.0
                        : static_cast<double>(p.instructions) /
                              static_cast<double>(p.cycle);
-  double elapsed = 0.0;
-  for (auto& core : cores_) elapsed += static_cast<double>(core->cycle());
+  const u64 core_cycles = sum_core_cycles();
+  const auto elapsed = static_cast<double>(core_cycles);
   double top = 0.0;
   for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
     const auto bucket = static_cast<CycleBucket>(b);
@@ -224,10 +222,13 @@ void System::emit_progress(std::chrono::steady_clock::time_point wall_start,
     }
   }
   p.top_stall_frac = elapsed == 0.0 ? 0.0 : top / elapsed;
-  p.skip_efficiency = p.cycle <= run_start_cycle
+  // Each skip advances one core's own clock, so the skipped core-cycles
+  // are a part of the core-cycles elapsed since the run started.
+  p.skip_efficiency = core_cycles <= start_core_cycles
                           ? 0.0
-                          : static_cast<double>(skipped_cycles) /
-                                static_cast<double>(p.cycle - run_start_cycle);
+                          : static_cast<double>(skipped_core_cycles) /
+                                static_cast<double>(core_cycles -
+                                                    start_core_cycles);
   p.wall_secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               wall_start)
                     .count();
@@ -235,10 +236,19 @@ void System::emit_progress(std::chrono::steady_clock::time_point wall_start,
 }
 
 void System::run_lockstep_loop() {
-  // Lockstep multi-core simulation so crossbar/DRAM contention is
-  // interleaved correctly (also used whenever sampling or periodic
-  // checkpointing needs to observe the system mid-run).
-  bool any_running = true;
+  // Lockstep multi-core simulation: cores act in (cycle, core index)
+  // order, so crossbar/DRAM contention interleaves exactly as in a
+  // stepped run (also used whenever sampling, periodic checkpointing
+  // or heartbeats need to observe the system mid-run).
+  //
+  // Event skipping is per core. The memory hierarchy is passive — it
+  // has no tick and resolves all timing at access time — so nothing
+  // another core does can change a quiet core's future. A quiet core
+  // therefore jumps its own clock to its next event and waits there
+  // until the loop clock catches up; busy cores keep stepping. Skips
+  // are clamped to the observer horizon (next sample, next checkpoint,
+  // watchdog limit), so every observer finds all live cores aligned on
+  // the cycle a stepped run would show it.
   Cycle next_checkpoint = 0;
   if (checkpoint_every_ > 0) {
     // Align the checkpoint grid with the core cycle count so a
@@ -258,37 +268,31 @@ void System::run_lockstep_loop() {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(progress_every_secs_));
   auto next_emit = wall_start + emit_period;
-  const Cycle run_start_cycle = max_core_cycle();
-  Cycle skipped_cycles = 0;
+  const u64 start_core_cycles = sum_core_cycles();
+  u64 skipped_core_cycles = 0;
   u32 progress_tick = 0;
+  Cycle now = loop_clock();
+  bool any_running = true;
   while (any_running) {
     any_running = false;
-    if (config_.core.skip) {
-      // All live cores share the same cycle in lockstep, so a jump
-      // to the min over their next events (and the memory system's)
-      // reproduces the stepped interleaving exactly: no core would
-      // have done anything but bump a stall counter in between.
-      const Cycle now0 = max_core_cycle();
-      const Cycle target = global_skip_target(now0, next_checkpoint, limit);
-      if (target > now0 + 1) {
-        skipped_cycles += target - now0;
-        for (auto& core : cores_) {
-          if (!core->done()) {
-            core->skip_to(target);
-            any_running = true;
-          }
+    Cycle horizon = limit;
+    if (sample_interval_ > 0) horizon = std::min(horizon, sample_next_);
+    if (checkpoint_every_ > 0) horizon = std::min(horizon, next_checkpoint);
+    for (auto& core : cores_) {
+      if (core->done()) continue;
+      any_running = true;
+      if (core->cycle() != now) continue;  // ahead: quiet until then
+      if (config_.core.skip && core->maybe_quiet()) {
+        const Cycle target = std::min(core->next_event_cycle(), horizon);
+        if (target > now + 1) {
+          skipped_core_cycles += target - now;
+          core->skip_to(target);
+          continue;
         }
       }
+      core->step();
     }
-    if (!any_running) {
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          core->step();
-          any_running = true;
-        }
-      }
-    }
-    const Cycle now = max_core_cycle();
+    now = loop_clock();
     if (sample_interval_ > 0 && now >= sample_next_) {
       take_sample(sample_prev_cycle_, sample_prev_instructions_);
       if (!samples_.empty()) {
@@ -306,7 +310,8 @@ void System::run_lockstep_loop() {
       // iterations keeps the heartbeat off the simulation hot path.
       const auto now_wall = std::chrono::steady_clock::now();
       if (now_wall >= next_emit) {
-        emit_progress(wall_start, run_start_cycle, skipped_cycles);
+        emit_progress(wall_start, now, start_core_cycles,
+                      skipped_core_cycles);
         next_emit = now_wall + emit_period;
       }
     }
@@ -318,7 +323,7 @@ void System::run_lockstep_loop() {
   }
   // Final heartbeat so even short runs produce one line.
   if (progress_) {
-    emit_progress(wall_start, run_start_cycle, skipped_cycles);
+    emit_progress(wall_start, now, start_core_cycles, skipped_core_cycles);
   }
 }
 
@@ -329,51 +334,10 @@ u64 System::total_instructions() const {
 }
 
 void System::run_detailed_insts(u64 insts) {
-  const u64 target = total_instructions() + insts;
-  if (cores_.size() == 1) {
-    cores_[0]->run_insts(insts);
-    return;
+  if (cores_.size() != 1) {
+    throw std::logic_error("System::run_detailed_insts: single-core only");
   }
-  // Lockstep multi-core stepping, same interleaving as run() minus the
-  // sampling/checkpoint/progress observers.
-  const Cycle limit = config_.core.max_cycles + 1 == 0
-                          ? kNeverCycle
-                          : config_.core.max_cycles + 1;
-  bool any_running = true;
-  while (any_running && total_instructions() < target) {
-    any_running = false;
-    if (config_.core.skip) {
-      const Cycle now0 = max_core_cycle();
-      const Cycle skip_target = global_skip_target(now0, kNeverCycle, limit);
-      if (skip_target > now0 + 1) {
-        for (auto& core : cores_) {
-          if (!core->done()) {
-            core->skip_to(skip_target);
-            any_running = true;
-          }
-        }
-      }
-    }
-    if (!any_running) {
-      for (auto& core : cores_) {
-        if (!core->done()) {
-          core->step();
-          any_running = true;
-        }
-      }
-    }
-    if (max_core_cycle() > config_.core.max_cycles) {
-      std::string diagnosis;
-      for (auto& core : cores_) {
-        if (core->done()) continue;
-        if (!diagnosis.empty()) diagnosis += "; ";
-        diagnosis += core->watchdog_diagnosis();
-      }
-      throw std::runtime_error("System: max_cycles (" +
-                               std::to_string(config_.core.max_cycles) +
-                               ") exceeded; " + diagnosis);
-    }
-  }
+  cores_[0]->run_insts(insts);
 }
 
 RunResult System::make_result() {

@@ -58,13 +58,15 @@ struct Sample {
 
 /// One heartbeat of a running simulation (see System::set_progress).
 struct RunProgress {
-  Cycle cycle = 0;           ///< current cycle (max over cores)
+  Cycle cycle = 0;           ///< loop clock (min cycle over live cores)
   u64 max_cycles = 0;        ///< watchdog budget (ETA denominator)
   u64 instructions = 0;      ///< committed so far, summed over cores
   double ipc = 0.0;          ///< cumulative IPC
   const char* top_stall = "";    ///< dominant non-useful cycle bucket
   double top_stall_frac = 0.0;   ///< its share of elapsed core cycles
-  double skip_efficiency = 0.0;  ///< cycles fast-forwarded / elapsed
+  /// Core-cycles fast-forwarded / core-cycles elapsed since run()
+  /// started, summed over cores: always in [0, 1].
+  double skip_efficiency = 0.0;
   double wall_secs = 0.0;        ///< wall time since run() started
 };
 
@@ -78,10 +80,10 @@ class System {
   RunResult run();
 
   /// Run the detailed model until @p insts further instructions have
-  /// committed (summed over cores) or every core is done. Used by the
-  /// tiered runner for warm-up prefixes and measurement windows; the
-  /// plain sampling/checkpoint/progress observers of run() do not
-  /// apply here.
+  /// committed or the core is done. Single-core systems only (throws
+  /// std::logic_error otherwise): used by the tiered runner, which is
+  /// single-core, for warm-up prefixes and measurement windows. The
+  /// sampling/checkpoint/progress observers of run() do not apply here.
   void run_detailed_insts(u64 insts);
 
   /// Assemble the RunResult for the current simulation state (run()'s
@@ -114,9 +116,9 @@ class System {
   void set_detailed_stats(bool on) { registry_.set_detailed(on); }
 
   /// Record a Sample every @p interval cycles during run() (0 turns
-  /// sampling off). Forces the lockstep run loop; event skips are
-  /// clamped to the sampling grid so samples land on the same cycles
-  /// either way.
+  /// sampling off). Forces the lockstep run loop; every core's event
+  /// skips are clamped to the sampling grid, so at each sample all live
+  /// cores stand on the same cycle as in a stepped run.
   void set_sample_interval(Cycle interval) { sample_interval_ = interval; }
   const std::vector<Sample>& samples() const { return samples_; }
 
@@ -180,9 +182,9 @@ class System {
                const std::function<void(ckpt::CheckpointReader&)>& extra = {});
 
   /// Save a snapshot to "<dir>/ckpt-<cycle>.vckpt" every @p every
-  /// cycles during run() (0 disables). Forces the lockstep loop; event
-  /// skips are clamped to the checkpoint grid so snapshots land on the
-  /// same cycles either way.
+  /// cycles during run() (0 disables). Forces the lockstep loop; every
+  /// core's event skips are clamped to the checkpoint grid, so each
+  /// snapshot finds all live cores aligned on the same cycle either way.
   void set_checkpointing(Cycle every, std::string dir) {
     checkpoint_every_ = every;
     checkpoint_dir_ = std::move(dir);
@@ -193,22 +195,26 @@ class System {
   std::unique_ptr<cpu::ContextManager> make_manager(const cpu::CoreEnv& env);
   void build_registry();
   void take_sample(Cycle prev_cycle, u64 prev_instructions);
-  /// Global clock of the lockstep loop: max cycle over all cores.
+  /// Max cycle over all cores.
   Cycle max_core_cycle() const;
-  /// Largest cycle every live core (and the memory system) is provably
-  /// quiet until, clamped to the sampling grid, the checkpoint grid
-  /// and the watchdog limit so those observe exactly the cycles they
-  /// would in a stepped run. <= now + 1 means "no profitable skip".
-  Cycle global_skip_target(Cycle now, Cycle next_checkpoint,
-                           Cycle limit) const;
-  /// The multi-core run loop of run() (lockstep stepping plus the
-  /// sampling/checkpoint/progress/watchdog observers).
+  /// Clock of the lockstep loop: min cycle over the live cores (cores
+  /// skipping a quiet stretch run ahead of it), or max_core_cycle()
+  /// once every core is done. Never decreases during a run.
+  Cycle loop_clock() const;
+  /// The multi-core run loop of run(): cores act in (cycle, core index)
+  /// order, each skipping its own quiet stretches, plus the
+  /// sampling/checkpoint/progress/watchdog observers.
   void run_lockstep_loop();
   /// Throw the watchdog error naming every stuck core.
   [[noreturn]] void throw_watchdog() const;
-  /// Build and emit one RunProgress heartbeat.
+  /// Build and emit one RunProgress heartbeat at loop clock @p now.
+  /// @p start_core_cycles is Σ core cycles when run() started and
+  /// @p skipped_core_cycles the core-cycles fast-forwarded since.
   void emit_progress(std::chrono::steady_clock::time_point wall_start,
-                     Cycle run_start_cycle, Cycle skipped_cycles);
+                     Cycle now, u64 start_core_cycles,
+                     u64 skipped_core_cycles);
+  /// Σ cycle() over all cores.
+  u64 sum_core_cycles() const;
 
   SystemConfig config_;
   const workloads::Workload& workload_;

@@ -1,5 +1,6 @@
-// Rollback queue tests: FIFO discipline, C-bit compaction on flush and
-// the oldest-is-memory CSL mask input.
+// Rollback queue tests: FIFO discipline (also across the ring
+// buffer's wrap-around), C-bit compaction on flush, the oldest-is-memory
+// CSL mask input and the oldest-first checkpoint encoding.
 #include <gtest/gtest.h>
 
 #include "core/rollback_queue.hpp"
@@ -102,6 +103,85 @@ TEST(RollbackQueue, MultiRegisterEntries) {
 TEST(RollbackQueue, DepthAccessor) {
   RollbackQueue queue(8);
   EXPECT_EQ(queue.depth(), 8u);
+}
+
+TEST(RollbackQueue, FifoOrderSurvivesWrapAround) {
+  // Depth 3 with one slot kept occupied: every push after the first
+  // three lands past the end of the ring and wraps.
+  RollbackQueue queue(3);
+  queue.push(entry_for(0, 0, 0, /*is_mem=*/true));
+  for (u16 i = 1; i < 20; ++i) {
+    queue.push(entry_for(i, 0, 1, /*is_mem=*/i % 2 == 0));
+    EXPECT_EQ(queue.size(), 2u);
+    EXPECT_EQ(queue.oldest_is_mem(), (i - 1) % 2 == 0) << i;
+    queue.pop_oldest();
+    EXPECT_EQ(queue.oldest_is_mem(), i % 2 == 0) << i;
+  }
+  queue.push(entry_for(20, 0, 1));
+  queue.push(entry_for(21, 0, 1));
+  EXPECT_THROW(queue.push(entry_for(22, 0, 1)), std::logic_error);
+}
+
+TEST(RollbackQueue, FlushAfterWrapResetsExactlyTheQueuedEntries) {
+  TagStore tags(4, 1, PolicyKind::kLRC);
+  std::vector<u8> locked(4, 0);
+  const int a = tags.allocate(0, 1, locked, nullptr);
+  const int b = tags.allocate(0, 2, locked, nullptr);
+  const int c = tags.allocate(0, 3, locked, nullptr);
+  RollbackQueue queue(2);
+  queue.push(entry_for(static_cast<u16>(a), 0, 1));
+  queue.push(entry_for(static_cast<u16>(b), 0, 2));
+  queue.pop_oldest();  // a committed
+  queue.push(entry_for(static_cast<u16>(c), 0, 3));  // wraps to slot 0
+  queue.flush_to(tags);
+  EXPECT_TRUE(tags.entry(static_cast<u32>(a)).c_bit);
+  EXPECT_FALSE(tags.entry(static_cast<u32>(b)).c_bit);
+  EXPECT_FALSE(tags.entry(static_cast<u32>(c)).c_bit);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(RollbackQueue, SaveStateIsOldestFirstWhateverTheRingPosition) {
+  // Same in-flight entries, one queue wrapped and one not: identical
+  // snapshot bytes, and a restore replays them in the same order.
+  RollbackQueue wrapped(3);
+  wrapped.push(entry_for(9, 0, 9));
+  wrapped.push(entry_for(9, 0, 9));
+  wrapped.pop_oldest();
+  wrapped.pop_oldest();
+  RollbackQueue fresh(3);
+  for (u16 i = 0; i < 3; ++i) {
+    wrapped.push(entry_for(i, 1, static_cast<isa::RegId>(i + 4), i == 1));
+    fresh.push(entry_for(i, 1, static_cast<isa::RegId>(i + 4), i == 1));
+  }
+  ckpt::Encoder a, b;
+  wrapped.save_state(a);
+  fresh.save_state(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
+
+  RollbackQueue restored(3);
+  ckpt::Decoder dec(a.bytes().data(), a.size());
+  restored.restore_state(dec);
+  ckpt::Encoder c;
+  restored.save_state(c);
+  EXPECT_EQ(c.bytes(), a.bytes());
+  EXPECT_FALSE(restored.oldest_is_mem());
+  restored.pop_oldest();
+  EXPECT_TRUE(restored.oldest_is_mem());
+}
+
+TEST(RollbackQueue, RestoreRejectsOversizedEntries) {
+  RollbackQueue queue(2);
+  RollbackQueue::Entry e = entry_for(0, 0, 0);
+  queue.push(e);
+  ckpt::Encoder enc;
+  queue.save_state(enc);
+  // Patch the entry's register count (after the u32 entry count) past
+  // the four slots an entry holds.
+  std::vector<u8> bytes = enc.bytes();
+  bytes[4] = 5;
+  ckpt::Decoder dec(bytes.data(), bytes.size());
+  RollbackQueue target(2);
+  EXPECT_THROW(target.restore_state(dec), ckpt::CkptError);
 }
 
 }  // namespace

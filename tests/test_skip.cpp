@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +45,21 @@ fs::path scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+/// The .vckpt files in @p dir, sorted by name.
+std::vector<fs::path> snapshots(const fs::path& dir) {
+  std::vector<fs::path> snaps;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".vckpt") snaps.push_back(e.path());
+  }
+  std::sort(snaps.begin(), snaps.end());
+  return snaps;
+}
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// Bit-exact double comparison: "close" is not good enough for the
@@ -164,9 +181,12 @@ TEST(Skip, PointerChaseEquivalence) {
 }
 
 // ---------------------------------------------------------------------
-// Multi-core contention: the lockstep loop may only jump to the global
-// minimum next event, or crossbar/DRAM interleaving would diverge. The
-// odd core count keeps the loop honest when cores finish unevenly.
+// Multi-core contention: each core skips its own quiet stretches and
+// runs ahead on its own clock, but acts only when the loop clock
+// reaches it, so cores still touch the crossbar/DRAM in (cycle, core)
+// order and contention interleaves exactly as when stepped. The odd
+// core count keeps the loop honest when cores finish unevenly; 16
+// cores almost never go quiet all at once.
 
 class SkipMulticore : public ::testing::TestWithParam<u32> {};
 
@@ -180,7 +200,39 @@ TEST_P(SkipMulticore, ContentionEquivalence) {
   expect_stats_identical(*skip, *stepped);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, SkipMulticore, ::testing::Values(2u, 4u, 5u));
+INSTANTIATE_TEST_SUITE_P(Cores, SkipMulticore,
+                         ::testing::Values(2u, 4u, 5u, 16u));
+
+// A DRAM-bound streaming kernel on 16 cores: long misses whose returns
+// are spread by bank and crossbar contention, so the cores' quiet
+// stretches end at different cycles and their clocks are staggered
+// most of the run — sampled on an odd grid the skips must clamp to.
+TEST(Skip, StaggeredDramBoundMulticore) {
+  RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  spec.workload = "triad";
+  spec.num_cores = 16;
+  spec.threads_per_core = 8;
+  spec.params.iters_per_thread = 8;
+  std::unique_ptr<System> skip, stepped;
+  const auto [ra, rb] =
+      run_both(spec, &skip, &stepped, /*sample_interval=*/777);
+  ASSERT_TRUE(ra.check_ok) << ra.check_msg;
+  expect_results_identical(ra, rb);
+  expect_stats_identical(*skip, *stepped);
+  const std::vector<Sample>& sa = skip->samples();
+  const std::vector<Sample>& sb = stepped->samples();
+  ASSERT_EQ(sa.size(), sb.size());
+  ASSERT_GE(sa.size(), 3u) << "run too short to exercise sampling";
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].cycle, sb[i].cycle) << i;
+    EXPECT_EQ(sa[i].instructions, sb[i].instructions) << i;
+    EXPECT_EQ(sa[i].runnable_threads, sb[i].runnable_threads) << i;
+    EXPECT_EQ(sa[i].outstanding_misses, sb[i].outstanding_misses) << i;
+    for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
+      expect_bits_eq(sa[i].cpi[b], sb[i].cpi[b], "sample cpi");
+    }
+  }
+}
 
 // ---------------------------------------------------------------------
 // Sampling: skips are clamped to the sampling grid, so the sampled
@@ -216,16 +268,55 @@ TEST_P(SkipSampled, TimeSeriesIdentical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, SkipSampled, ::testing::Values(1u, 4u));
+INSTANTIATE_TEST_SUITE_P(Cores, SkipSampled, ::testing::Values(1u, 4u, 16u));
+
+// ---------------------------------------------------------------------
+// Heartbeats under per-core skipping: skip_efficiency is fast-forwarded
+// core-cycles over elapsed core-cycles, so it stays a fraction even
+// when many cores skip at once, and the reported cycle is the loop
+// clock, which never runs backwards.
+
+TEST(Skip, HeartbeatSkipEfficiencyIsAFraction) {
+  RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
+  spec.num_cores = 16;
+  spec.threads_per_core = 8;
+  const workloads::Workload& workload = workloads::find_workload(spec.workload);
+  System sys(build_config(spec), workload, spec.params);
+  std::vector<RunProgress> beats;
+  sys.set_progress([&beats](const RunProgress& p) { beats.push_back(p); },
+                   /*every_secs=*/0.0);
+  const RunResult r = sys.run();
+  ASSERT_TRUE(r.check_ok) << r.check_msg;
+  ASSERT_GE(beats.size(), 3u) << "run too short to emit heartbeats";
+  bool skipped = false;
+  for (std::size_t i = 0; i < beats.size(); ++i) {
+    EXPECT_GE(beats[i].skip_efficiency, 0.0) << i;
+    EXPECT_LE(beats[i].skip_efficiency, 1.0) << i;
+    skipped = skipped || beats[i].skip_efficiency > 0.0;
+    if (i > 0) {
+      EXPECT_GE(beats[i].cycle, beats[i - 1].cycle) << i;
+    }
+  }
+  EXPECT_TRUE(skipped) << "no heartbeat saw a skip";
+  EXPECT_EQ(beats.back().cycle, r.cycles);
+  // Heartbeats only observe: the run matches an unobserved one.
+  expect_results_identical(r, run_spec(spec));
+}
 
 // ---------------------------------------------------------------------
 // Checkpointing: skips clamp to the checkpoint grid, snapshots carry
 // no skip state, and config_hash ignores the skip flag — so snapshots
-// move freely between skip modes in either direction.
+// move freely between skip modes in either direction. On 4 cores the
+// mid-run snapshot is taken while the cores skip independently.
 
-TEST(Skip, CheckpointsCrossSkipModes) {
+class SkipCheckpoint : public ::testing::TestWithParam<u32> {};
+
+TEST_P(SkipCheckpoint, CheckpointsCrossSkipModes) {
   RunSpec spec = tiny_spec(Scheme::kViReC, core::PolicyKind::kLRC);
-  const fs::path dir = scratch_dir("ckpt");
+  spec.num_cores = GetParam();
+  const fs::path dir = scratch_dir("ckpt" + std::to_string(spec.num_cores));
+  const fs::path stepped_dir =
+      scratch_dir("ckpt_stepped" + std::to_string(spec.num_cores));
   const workloads::Workload& workload = workloads::find_workload(spec.workload);
 
   RunSpec stepped_spec = spec;
@@ -241,13 +332,21 @@ TEST(Skip, CheckpointsCrossSkipModes) {
   const RunResult want = straight.run();
   ASSERT_TRUE(want.check_ok) << want.check_msg;
 
-  std::vector<fs::path> snaps;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".vckpt") snaps.push_back(e.path());
-  }
-  std::sort(snaps.begin(), snaps.end());
+  const std::vector<fs::path> snaps = snapshots(dir);
   ASSERT_GE(snaps.size(), 2u) << "run too short to checkpoint mid-flight";
   const fs::path snap = snaps[snaps.size() / 2];
+
+  // ...which lands on the same cycles, byte for byte, as stepping...
+  System stepped_straight(build_config(stepped_spec), workload, spec.params);
+  stepped_straight.set_checkpointing(1000, stepped_dir.string());
+  expect_results_identical(want, stepped_straight.run());
+  const std::vector<fs::path> stepped_snaps = snapshots(stepped_dir);
+  ASSERT_EQ(snaps.size(), stepped_snaps.size());
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    EXPECT_EQ(snaps[i].filename(), stepped_snaps[i].filename());
+    EXPECT_TRUE(file_bytes(snaps[i]) == file_bytes(stepped_snaps[i]))
+        << snaps[i].filename();
+  }
 
   // ...restore into a stepped run, and the other way around.
   System stepped(build_config(stepped_spec), workload, spec.params);
@@ -258,7 +357,10 @@ TEST(Skip, CheckpointsCrossSkipModes) {
   skipped.restore(snap.string());
   expect_results_identical(want, skipped.run());
   fs::remove_all(dir);
+  fs::remove_all(stepped_dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(Cores, SkipCheckpoint, ::testing::Values(1u, 4u));
 
 // ---------------------------------------------------------------------
 // Sweeps: a whole sweep CSV is byte-identical across skip modes.
