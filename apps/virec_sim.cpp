@@ -24,7 +24,6 @@
 #include "area/area_model.hpp"
 #include "check/harness.hpp"
 #include "check/repro.hpp"
-#include "ckpt/journal.hpp"
 #include "ckpt/spec_codec.hpp"
 #include "common/cli_parse.hpp"
 #include "common/json.hpp"
@@ -38,6 +37,7 @@
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
 #include "svc/client.hpp"
+#include "svc/result_store.hpp"
 #include "tiered/func_stream.hpp"
 
 using namespace virec;
@@ -77,7 +77,7 @@ struct Options {
   u64 checkpoint_every = 0;   // periodic snapshot interval (cycles)
   std::string checkpoint_out; // snapshot directory
   std::string restore_path;   // snapshot to resume a single run from
-  std::string resume_path;    // sweep journal to resume a sweep from
+  std::string resume_path;    // result store to resume a sweep from
   std::string replay_path;    // fuzzer repro file to replay and exit
   // Grid axes: in --sweep mode these accept comma-separated lists, so
   // they are captured raw and parsed once the mode is known.
@@ -179,10 +179,11 @@ void print_usage() {
       "  --checkpoint-out DIR  directory for ckpt-<cycle>.vckpt files\n"
       "  --restore FILE      restore a snapshot and continue the run\n"
       "                      (config must match; single-run only)\n"
-      "  --resume FILE       journal completed sweep points to FILE and\n"
-      "                      skip points already recorded in it (so a\n"
-      "                      killed sweep continues where it stopped;\n"
-      "                      needs --sweep)\n"
+      "  --resume DIR        keep completed sweep points in the result\n"
+      "                      store DIR and skip points already in it (so\n"
+      "                      a killed sweep continues where it stopped;\n"
+      "                      virec-simd --store DIR shares it; needs\n"
+      "                      --sweep)\n"
       "  --sweep             run the full cross product of the grid axes\n"
       "                      (--workload/--scheme/--policy/--threads/\n"
       "                      --ctx/--cores accept comma-separated lists)\n"
@@ -490,8 +491,8 @@ int run_sweep_mode(const Options& opt) {
   if (!opt.connect_path.empty()) {
     if (!opt.resume_path.empty()) {
       throw std::invalid_argument(
-          "--resume journals local sweeps; with --connect the daemon's "
-          "result store already makes re-runs resumable");
+          "--resume keeps a local sweep's result store; with --connect "
+          "the daemon's store already makes re-runs resumable");
     }
     const sim::Sweep sweep = build_sweep(opt);
     std::vector<sim::RunSpec> grid = sweep.specs();
@@ -525,12 +526,15 @@ int run_sweep_mode(const Options& opt) {
     return 0;
   }
   const sim::Sweep sweep = build_sweep(opt);
-  std::unique_ptr<ckpt::SweepJournal> journal;
+  std::unique_ptr<svc::ResultStore> store;
   if (!opt.resume_path.empty()) {
-    journal = std::make_unique<ckpt::SweepJournal>(opt.resume_path);
-    const std::size_t done = journal->load();
+    store = std::make_unique<svc::ResultStore>(opt.resume_path);
+    std::size_t done = 0;
+    for (const sim::RunSpec& spec : sweep.specs()) {
+      done += store->lookup(ckpt::spec_hash(spec), spec, nullptr) ? 1 : 0;
+    }
     std::cerr << "resume: " << done << " of " << sweep.size()
-              << " point(s) already journalled in " << opt.resume_path
+              << " point(s) already in the store " << opt.resume_path
               << "\n";
   }
   sim::Sweep::SweepProgressFn on_point;
@@ -557,7 +561,7 @@ int run_sweep_mode(const Options& opt) {
     };
   }
   const sim::SweepResults results =
-      sweep.run(opt.jobs, journal.get(), std::move(on_point));
+      sweep.run(opt.jobs, store.get(), std::move(on_point));
   if (opt.spec.sample_windows > 0 && !opt.json) print_stream_stats();
   if (opt.json) {
     if (opt.json_path.empty()) {
@@ -971,8 +975,9 @@ int main(int argc, char** argv) {
 
     if (!opt.resume_path.empty()) {
       throw std::invalid_argument(
-          "--resume journals sweep points and needs --sweep "
-          "(to continue a single run from a snapshot, use --restore)");
+          "--resume keeps sweep points in a result store and needs "
+          "--sweep (to continue a single run from a snapshot, use "
+          "--restore)");
     }
     if (!opt.connect_path.empty()) return run_connect_single(opt);
     if (opt.spec.sample_windows > 0 || opt.spec.functional_ff) {

@@ -25,9 +25,11 @@
 // shows which role each point played. A point that BUILDS its stream
 // pays the one-off golden prepass — its wall-clock is the amortized
 // sweep entry fee, so the speedup gate applies only to replay/load
-// points (the steady-state sweep cost). Set VIREC_STREAM_DIR to
-// persist streams across invocations: a warm second run replays
-// everything and every gated point faces the speedup gate.
+// points (the steady-state sweep cost), each side timed as the fastest
+// of kSpeedRuns runs. Set VIREC_STREAM_DIR to persist streams across
+// invocations: a warm second run replays everything and every gated
+// point faces the speedup gate.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -45,6 +47,9 @@
 using namespace virec;
 
 namespace {
+
+/// Runs per side timed on speed-gated points; the fastest one counts.
+constexpr int kSpeedRuns = 3;
 
 struct Point {
   sim::RunSpec spec;
@@ -211,7 +216,7 @@ int main(int argc, char** argv) try {
   for (Point& point : grid) {
     sim::RunSpec full_spec = point.spec;
     sim::RunResult full{};
-    const double full_secs = wall_run(full_spec, &full);
+    double full_secs = wall_run(full_spec, &full);
 
     sim::RunSpec sampled_spec = point.spec;
     sampled_spec.sample_windows = 10;
@@ -222,7 +227,7 @@ int main(int argc, char** argv) try {
     const sim::StreamCache::Stats before =
         sim::StreamCache::instance().stats();
     sim::TieredResult tiered{};
-    const double sampled_secs = wall_run_tiered(sampled_spec, &tiered);
+    double sampled_secs = wall_run_tiered(sampled_spec, &tiered);
     const sim::StreamCache::Stats after = sim::StreamCache::instance().stats();
     // "build" = this point paid the golden prepass; "load"/"replay" =
     // it reused a stream from disk / the in-process cache.
@@ -230,18 +235,27 @@ int main(int argc, char** argv) try {
                               : after.loaded > before.loaded ? "load"
                                                              : "replay";
 
+    // The speedup gate measures the steady-state sweep cost, so it
+    // skips the one-off prepass payer (the "build" point of each
+    // functional identity) — that cost amortizes across the sweep.
+    const bool speedup_gated =
+        point.gated && std::strcmp(stream_role, "build") != 0;
+    // A ratio of two single timings swings with host noise; on gated
+    // points each side is the fastest of kSpeedRuns runs instead.
+    for (int run = 1; speedup_gated && run < kSpeedRuns; ++run) {
+      sim::RunResult full_again{};
+      sim::TieredResult tiered_again{};
+      full_secs = std::min(full_secs, wall_run(full_spec, &full_again));
+      sampled_secs = std::min(sampled_secs,
+                              wall_run_tiered(sampled_spec, &tiered_again));
+    }
+
     full_total += full_secs;
     sampled_total += sampled_secs;
     const double err_pct = (tiered.est_ipc - full.ipc) / full.ipc * 100.0;
     const bool covers =
         full.ipc >= tiered.est_ipc_lo && full.ipc <= tiered.est_ipc_hi;
     const double speedup = full_secs / sampled_secs;
-
-    // The speedup gate measures the steady-state sweep cost, so it
-    // skips the one-off prepass payer (the "build" point of each
-    // functional identity) — that cost amortizes across the sweep.
-    const bool speedup_gated =
-        point.gated && std::strcmp(stream_role, "build") != 0;
     bool bad = false;
     if (point.gated && max_err_pct > 0.0 && std::abs(err_pct) > max_err_pct) {
       bad = true;

@@ -1,8 +1,8 @@
 #include "ckpt/checkpoint.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+
+#include "ckpt/file_io.hpp"
 
 namespace virec::ckpt {
 
@@ -30,39 +30,20 @@ std::vector<u8> CheckpointWriter::bytes() const {
 
 void CheckpointWriter::write_file(const std::string& path) const {
   namespace fs = std::filesystem;
-  const std::vector<u8> data = bytes();
   const fs::path target(path);
   std::error_code ec;
   if (target.has_parent_path()) {
     fs::create_directories(target.parent_path(), ec);  // best effort
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw CkptError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out) throw CkptError("write failed for " + tmp);
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw CkptError("cannot rename " + tmp + " to " + path + ": " +
-                    ec.message());
-  }
+  write_file_atomic(path, bytes());
 }
 
 CheckpointReader::CheckpointReader(const std::string& path,
                                    u64 expected_config_hash)
     : path_(path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw CkptError("cannot open checkpoint " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  file_.resize(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(file_.data()), size);
-  if (!in) throw CkptError("cannot read checkpoint " + path);
+  if (!read_file(path, &file_)) {
+    throw CkptError("cannot read checkpoint " + path);
+  }
 
   Decoder header(file_.data(), file_.size(), "header of " + path);
   const u32 magic = header.get_u32();

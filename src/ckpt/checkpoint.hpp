@@ -12,9 +12,9 @@
 //     crc32        u32   CRC-32 of the payload bytes
 //     payload
 //
-// Writes are atomic: the file is assembled beside the target as
-// "<path>.tmp" and renamed into place, so a crash mid-write never
-// leaves a half-written snapshot under the final name. Restores verify
+// Writes are atomic (ckpt::write_file_atomic: a unique temp file beside
+// the target, renamed into place), so a crash mid-write never leaves a
+// half-written snapshot under the final name. Restores verify
 // the magic, the format version, the config hash and every section's
 // CRC before any component state is touched.
 #pragma once
@@ -43,7 +43,7 @@ class CheckpointWriter {
   /// the order they were written.
   Encoder& section(std::string name);
 
-  /// Serialise everything to @p path via temp file + rename. Creates
+  /// Serialise everything to @p path atomically. Creates
   /// missing parent directories. Throws CkptError on I/O failure.
   void write_file(const std::string& path) const;
 

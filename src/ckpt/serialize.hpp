@@ -111,9 +111,13 @@ class Decoder {
   }
   std::vector<Cycle> get_cycle_vec() { return get_u64_vec(); }
 
-  void skip(std::size_t n) {
+  void skip(std::size_t n) { view(n); }
+  /// The next @p n bytes in place (no copy); advances past them.
+  const u8* view(std::size_t n) {
     need(n);
+    const u8* p = data_ + pos_;
     pos_ += n;
+    return p;
   }
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }

@@ -3,8 +3,9 @@
 // agree byte-for-byte:
 //
 //   * hashing — ckpt::spec_hash is FNV-1a over the *identity* bytes,
-//     so the sweep journal, the svc::ResultStore and the virec-simd
-//     protocol all key an experiment point the same way;
+//     so the svc::ResultStore (behind both virec-simd and a resumed
+//     sweep) and the virec-simd protocol key an experiment point the
+//     same way;
 //   * the persistent result store — entries embed the identity bytes
 //     and verify them on lookup, so a hash collision or a codec change
 //     degrades to a cache miss, never a wrong result;

@@ -8,10 +8,11 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "ckpt/journal.hpp"
+#include "ckpt/spec_codec.hpp"
 #include "common/cycle_account.hpp"
 #include "common/json.hpp"
 #include "sim/parallel.hpp"
+#include "svc/result_store.hpp"
 
 namespace virec::sim {
 
@@ -207,7 +208,7 @@ std::vector<RunSpec> Sweep::specs() const {
   return out;
 }
 
-SweepResults Sweep::run(u32 jobs, ckpt::SweepJournal* journal,
+SweepResults Sweep::run(u32 jobs, svc::ResultStore* store,
                         SweepProgressFn on_point) const {
   std::vector<RunSpec> grid = specs();
   std::vector<RunResult> results(grid.size());
@@ -228,69 +229,47 @@ SweepResults Sweep::run(u32 jobs, ckpt::SweepJournal* journal,
       results[members[m]] = results[members[0]];
     }
   };
-  if (journal == nullptr && !on_point) {
-    std::vector<RunSpec> unique;
-    std::vector<std::size_t> reps;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (groups[hashes[i]].front() != i) continue;
-      unique.push_back(grid[i]);
-      reps.push_back(i);
+  // Serve what the store already holds; run the rest, putting each
+  // fresh completion as it lands (crash-safe progress). Results are
+  // reassembled in grid order either way.
+  std::vector<std::size_t> pending;
+  std::size_t pending_points = 0;  // including duplicate indices
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (groups[hashes[i]].front() != i) continue;
+    if (store != nullptr && store->lookup(hashes[i], grid[i], &results[i])) {
+      scatter(i);
+    } else {
+      pending.push_back(i);
+      pending_points += groups[hashes[i]].size();
     }
-    std::vector<RunResult> fresh = run_specs(unique, jobs);
-    for (std::size_t j = 0; j < reps.size(); ++j) {
-      results[reps[j]] = std::move(fresh[j]);
-      scatter(reps[j]);
-    }
-  } else {
-    // Resume: skip points the journal already records, run the rest,
-    // and journal each fresh completion as it lands (crash-safe
-    // progress). Results are reassembled in grid order either way.
-    std::vector<std::size_t> pending;
-    std::size_t pending_points = 0;  // including duplicate indices
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (groups[hashes[i]].front() != i) continue;
-      if (journal != nullptr && journal->lookup(hashes[i], &results[i])) {
-        scatter(i);
-      } else {
-        pending.push_back(i);
-        pending_points += groups[hashes[i]].size();
-      }
-    }
-    const std::size_t total = grid.size();
-    // Shared across worker threads: points completed so far. Journal
-    // hits and deduplicated copies count as done immediately (one
-    // up-front heartbeat).
-    auto done =
-        std::make_shared<std::atomic<std::size_t>>(total - pending_points);
-    if (on_point && done->load() > 0) on_point(done->load(), total, 0.0);
-    ParallelExecutor pool(jobs);
-    for (const std::size_t idx : pending) {
-      const RunSpec& spec = grid[idx];
-      const std::size_t copies = groups[hashes[idx]].size();
-      pool.submit_task(
-          [spec, journal, on_point, done, total, copies,
-           hash = hashes[idx]] {
-            const auto t0 = std::chrono::steady_clock::now();
-            RunResult result = run_spec(spec);
-            if (journal != nullptr) {
-              journal->record(hash, result);
-            }
-            if (on_point) {
-              const double secs =
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-              on_point(done->fetch_add(copies) + copies, total, secs);
-            }
-            return result;
-          },
-          spec_label(spec));
-    }
-    std::vector<RunResult> fresh = pool.join();
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      results[pending[j]] = std::move(fresh[j]);
-      scatter(pending[j]);
-    }
+  }
+  const std::size_t total = grid.size();
+  // Shared across worker threads: points completed so far. Store hits
+  // count as done immediately (one up-front heartbeat).
+  auto done =
+      std::make_shared<std::atomic<std::size_t>>(total - pending_points);
+  if (on_point && done->load() > 0) on_point(done->load(), total, 0.0);
+  ParallelExecutor pool(jobs);
+  for (const std::size_t idx : pending) {
+    const RunSpec& spec = grid[idx];
+    const std::size_t copies = groups[hashes[idx]].size();
+    pool.submit_task(
+        [spec, store, on_point, done, total, copies, hash = hashes[idx]] {
+          const auto t0 = std::chrono::steady_clock::now();
+          RunResult result = run_spec(spec);
+          const double secs = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+          if (store != nullptr) store->put(hash, spec, result, secs);
+          if (on_point) on_point(done->fetch_add(copies) + copies, total, secs);
+          return result;
+        },
+        spec_label(spec));
+  }
+  std::vector<RunResult> fresh = pool.join();
+  for (std::size_t j = 0; j < pending.size(); ++j) {
+    results[pending[j]] = std::move(fresh[j]);
+    scatter(pending[j]);
   }
   std::vector<SweepRecord> records;
   records.reserve(grid.size());

@@ -21,8 +21,8 @@
 
 #include "sim/runner.hpp"
 
-namespace virec::ckpt {
-class SweepJournal;
+namespace virec::svc {
+class ResultStore;
 }
 
 namespace virec::sim {
@@ -103,19 +103,20 @@ class Sweep {
   /// workload check fails. Results are deterministic and ordered by
   /// grid position regardless of the job count.
   ///
-  /// With a @p journal, points already recorded in it are skipped and
-  /// their journalled results used instead, and every fresh completion
-  /// is appended to it — so an interrupted sweep resumed against the
-  /// same journal reproduces the uninterrupted output byte for byte.
+  /// With a @p store, points already in it are not simulated — their
+  /// stored results are used instead — and every fresh completion is
+  /// put into it as it lands. An interrupted sweep resumed against the
+  /// same store reproduces the uninterrupted output byte for byte, and
+  /// any other sweep or virec-simd sharing the store benefits too.
   ///
   /// @p on_point, when set, is invoked after each point completes —
   /// (points done so far, total points, wall seconds the completing
-  /// point took; 0 for journal hits, reported once up front). It may
-  /// be called concurrently from worker threads: make it thread-safe.
+  /// point took; 0 for store hits, reported once up front). It may be
+  /// called concurrently from worker threads: make it thread-safe.
   using SweepProgressFn =
       std::function<void(std::size_t done, std::size_t total,
                          double point_wall_secs)>;
-  SweepResults run(u32 jobs = 1, ckpt::SweepJournal* journal = nullptr,
+  SweepResults run(u32 jobs = 1, svc::ResultStore* store = nullptr,
                    SweepProgressFn on_point = {}) const;
 
  private:

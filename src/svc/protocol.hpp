@@ -1,14 +1,13 @@
 // Wire protocol of the virec-simd daemon (docs/service.md): newline-
-// delimited JSON over a local Unix socket, with journal-style CRC
-// framing. Every line is
+// delimited JSON over a local Unix socket, each line framed with a
+// trailing CRC:
 //
 //   <compact json> <crc32 of the json, 8 lowercase hex digits>\n
 //
-// so a torn or corrupted line is detected before parsing, mirroring
-// the ckpt::SweepJournal line format. Specs and results travel as
-// hex-encoded ckpt spec-codec bytes, not as JSON numbers — doubles
-// cross the wire by bit pattern, so a client's CSV/JSON output is
-// byte-identical to a local run's.
+// so a torn or corrupted line is detected before parsing. Specs and
+// results travel as hex-encoded ckpt spec-codec bytes, not as JSON
+// numbers — doubles cross the wire by bit pattern, so a client's
+// CSV/JSON output is byte-identical to a local run's.
 //
 // Message vocabulary (type field):
 //   client -> server: hello, sweep {id, specs:[hex]}, stats, ping,

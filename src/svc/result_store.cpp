@@ -1,13 +1,12 @@
 #include "svc/result_store.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
+#include "ckpt/file_io.hpp"
 #include "common/version.hpp"
 
 namespace fs = std::filesystem;
@@ -27,25 +26,39 @@ namespace {
 // payload_crc additionally survives future envelope-layout changes.
 constexpr const char* kEntrySuffix = ".vres";
 
-/// Whole-file integrity: true iff @p bytes ends in a valid entry_crc.
-/// On success *body_size excludes the trailing CRC word.
-bool check_entry_crc(const std::vector<u8>& bytes, std::size_t* body_size) {
-  if (bytes.size() < sizeof(u32)) return false;
-  const std::size_t body = bytes.size() - sizeof(u32);
-  u32 stored = 0;
-  for (int i = 3; i >= 0; --i) {
-    stored = (stored << 8) | bytes[body + static_cast<std::size_t>(i)];
-  }
-  if (ckpt::crc32(bytes.data(), body) != stored) return false;
-  *body_size = body;
-  return true;
-}
+/// An entry's envelope; identity and payload point into the file bytes.
+struct Envelope {
+  u64 hash = 0;
+  std::string provenance;
+  double wall_secs = 0.0;
+  const u8* identity = nullptr;
+  u32 identity_len = 0;
+  const u8* payload = nullptr;
+  u32 payload_len = 0;
+};
 
-std::vector<u8> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  return std::vector<u8>(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
+/// Decode the envelope of entry file @p bytes, checking the entry CRC,
+/// the magic, the bounds and the payload CRC. Throws CkptError on any
+/// corruption; returns false for an entry of another format version.
+bool open_entry(const std::vector<u8>& bytes, Envelope* env) {
+  ckpt::Decoder dec = ckpt::unseal(bytes, "store entry");
+  if (dec.get_u32() != kStoreMagic) {
+    throw ckpt::CkptError("store entry: bad magic");
+  }
+  if (dec.get_u32() != kStoreFormatVersion) return false;
+  env->hash = dec.get_u64();
+  env->provenance = dec.get_str();
+  env->wall_secs = dec.get_f64();
+  env->identity_len = dec.get_u32();
+  env->identity = dec.view(env->identity_len);
+  const u32 payload_crc = dec.get_u32();
+  env->payload_len = dec.get_u32();
+  env->payload = dec.view(env->payload_len);
+  dec.finish();
+  if (ckpt::crc32(env->payload, env->payload_len) != payload_crc) {
+    throw ckpt::CkptError("store entry: payload CRC mismatch");
+  }
+  return true;
 }
 
 bool is_entry_file(const fs::directory_entry& e) {
@@ -72,39 +85,26 @@ std::string ResultStore::entry_path(u64 hash) const {
 
 bool ResultStore::lookup_entry(u64 hash, const sim::RunSpec& spec,
                                StoreEntry* out) const {
-  const std::vector<u8> bytes = read_file(entry_path(hash));
-  if (bytes.empty()) return false;
-  std::size_t body_size = 0;
-  if (!check_entry_crc(bytes, &body_size)) return false;
+  std::vector<u8> bytes;
+  if (!ckpt::read_file(entry_path(hash), &bytes)) return false;
   try {
-    ckpt::Decoder dec(bytes.data(), body_size, "store entry");
-    if (dec.get_u32() != kStoreMagic) return false;
-    if (dec.get_u32() != kStoreFormatVersion) return false;
-    if (dec.get_u64() != hash) return false;
-    StoreEntry entry;
-    entry.provenance = dec.get_str();
-    entry.wall_secs = dec.get_f64();
+    Envelope env;
+    if (!open_entry(bytes, &env) || env.hash != hash) return false;
     // Identity verification: the stored canonical spec bytes must match
     // the requested spec exactly — a hash collision or codec drift is a
     // miss, never a wrong result.
     ckpt::Encoder want;
     ckpt::encode_spec_identity(want, spec);
-    const u32 identity_len = dec.get_u32();
-    if (identity_len != want.size()) return false;
-    std::vector<u8> identity(identity_len);
-    dec.raw(identity.data(), identity_len);
-    if (identity != want.bytes()) return false;
-    const u32 payload_crc = dec.get_u32();
-    const u32 payload_len = dec.get_u32();
-    std::vector<u8> payload(payload_len);
-    dec.raw(payload.data(), payload_len);
-    dec.finish();
-    if (ckpt::crc32(payload.data(), payload.size()) != payload_crc) {
+    if (env.identity_len != want.size() ||
+        std::memcmp(env.identity, want.bytes().data(), want.size()) != 0) {
       return false;
     }
-    ckpt::Decoder pdec(payload.data(), payload.size(), "store payload");
+    ckpt::Decoder pdec(env.payload, env.payload_len, "store payload");
+    StoreEntry entry;
     entry.result = ckpt::decode_result(pdec);
     pdec.finish();
+    entry.provenance = std::move(env.provenance);
+    entry.wall_secs = env.wall_secs;
     if (out != nullptr) *out = std::move(entry);
     return true;
   } catch (const ckpt::CkptError&) {
@@ -138,39 +138,12 @@ void ResultStore::put(u64 hash, const sim::RunSpec& spec,
   enc.put_u32(ckpt::crc32(payload.bytes().data(), payload.size()));
   enc.put_u32(static_cast<u32>(payload.size()));
   enc.raw(payload.bytes().data(), payload.size());
-  const u32 entry_crc = ckpt::crc32(enc.bytes().data(), enc.size());
-  enc.put_u32(entry_crc);
-
-  // Unique temp name (pid + address of this call's encoder) so
-  // concurrent writers — including separate daemon processes sharing
-  // one store — never scribble on each other's partial file; rename is
-  // atomic and last-writer-wins on identical content.
-  const std::string path = entry_path(hash);
-  char tmp_tag[64];
-  std::snprintf(tmp_tag, sizeof tmp_tag, ".tmp.%ld.%p",
-                static_cast<long>(::getpid()),
-                static_cast<const void*>(&enc));
-  const std::string tmp = path + tmp_tag;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("result store: cannot write " + tmp);
-    }
-    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
-              static_cast<std::streamsize>(enc.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("result store: short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("result store: rename " + tmp + " -> " + path +
-                             " failed: " + ec.message());
-  }
+  ckpt::seal(enc);
+  // Concurrent writers of one point (daemons sharing the store, a
+  // sweep resuming beside them) each rename a complete file; last
+  // writer wins, which is safe because identical specs produce
+  // identical results.
+  ckpt::write_file_atomic(entry_path(hash), enc.bytes());
 }
 
 std::size_t ResultStore::size() const {
@@ -184,39 +157,21 @@ std::size_t ResultStore::size() const {
 
 ResultStore::VerifyReport ResultStore::verify(bool repair) {
   VerifyReport report;
+  std::vector<u8> bytes;  // reused across entries
   std::error_code ec;
   for (const auto& e : fs::directory_iterator(dir_, ec)) {
     if (!is_entry_file(e)) continue;
     ++report.total;
-    const std::vector<u8> bytes = read_file(e.path().string());
     bool ok = false;
     bool foreign = false;
-    std::size_t body_size = 0;
-    try {
-      if (!check_entry_crc(bytes, &body_size)) {
-        throw ckpt::CkptError("store entry: bad entry crc");
+    if (ckpt::read_file(e.path().string(), &bytes)) {
+      try {
+        Envelope env;
+        foreign = !open_entry(bytes, &env);
+        ok = !foreign;
+      } catch (const ckpt::CkptError&) {
+        // corrupt: ok stays false
       }
-      ckpt::Decoder dec(bytes.data(), body_size, "store entry");
-      if (dec.get_u32() == kStoreMagic) {
-        if (dec.get_u32() != kStoreFormatVersion) {
-          foreign = true;
-        } else {
-          dec.get_u64();   // hash (name may have been tampered; payload
-                           // integrity is what verify guards)
-          dec.get_str();   // provenance
-          dec.get_f64();   // wall_secs
-          const u32 identity_len = dec.get_u32();
-          dec.skip(identity_len);
-          const u32 payload_crc = dec.get_u32();
-          const u32 payload_len = dec.get_u32();
-          std::vector<u8> payload(payload_len);
-          dec.raw(payload.data(), payload_len);
-          dec.finish();
-          ok = ckpt::crc32(payload.data(), payload.size()) == payload_crc;
-        }
-      }
-    } catch (const ckpt::CkptError&) {
-      ok = false;
     }
     if (foreign) {
       ++report.foreign;

@@ -1,13 +1,11 @@
 #include "tiered/func_stream.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <system_error>
 
+#include "ckpt/file_io.hpp"
 #include "isa/semantics.hpp"
 #include "tiered/functional_executor.hpp"
 
@@ -423,19 +421,10 @@ void FuncStreamReplayer::seek(u64 target) {
 
 std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,
                                                    u64 expect_identity) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return nullptr;
-  if (raw.size() < 4) return nullptr;
-  const std::size_t body = raw.size() - 4;
-  ckpt::Decoder crc_dec(reinterpret_cast<const u8*>(raw.data()) + body, 4,
-                        "stream crc");
-  if (ckpt::crc32(raw.data(), body) != crc_dec.get_u32()) return nullptr;
+  std::vector<u8> raw;
+  if (!ckpt::read_file(path, &raw)) return nullptr;
   try {
-    ckpt::Decoder dec(reinterpret_cast<const u8*>(raw.data()), body,
-                      "stream file");
+    ckpt::Decoder dec = ckpt::unseal(raw, "stream file");
     if (dec.get_u32() != kStreamMagic) return nullptr;
     if (dec.get_u32() != kStreamFileVersion) return nullptr;
     auto stream = std::make_shared<FuncStream>();
@@ -466,28 +455,13 @@ bool save_func_stream(const std::string& path, const FuncStream& stream) {
   enc.put_u64(stream.n_total);
   enc.put_u64(stream.records.size());
   enc.raw(stream.records.data(), stream.records.size());
-  const u32 crc = ckpt::crc32(enc.bytes().data(), enc.size());
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(enc.bytes().data()),
-              static_cast<std::streamsize>(enc.size()));
-    char crc_bytes[4] = {static_cast<char>(crc), static_cast<char>(crc >> 8),
-                         static_cast<char>(crc >> 16),
-                         static_cast<char>(crc >> 24)};
-    out.write(crc_bytes, 4);
-    out.flush();
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  ckpt::seal(enc);
+  try {
+    ckpt::write_file_atomic(path, enc.bytes());
+    return true;
+  } catch (const ckpt::CkptError&) {
     return false;
   }
-  return true;
 }
 
 // --- StreamCache ---

@@ -154,7 +154,7 @@ class StreamCache {
 /// magic/version/CRC mismatch or identity disagreement.
 std::shared_ptr<const FuncStream> load_func_stream(const std::string& path,
                                                    u64 expect_identity);
-/// Atomic (tmp + rename) write; returns false on I/O failure.
+/// Atomic write (ckpt::write_file_atomic); returns false on I/O failure.
 bool save_func_stream(const std::string& path, const FuncStream& stream);
 
 }  // namespace virec::sim

@@ -282,8 +282,16 @@ class CheckpointFile : public ::testing::Test {
 };
 
 TEST_F(CheckpointFile, SaveIsAtomicNoTempLeftBehind) {
-  EXPECT_TRUE(fs::exists(path_));
-  EXPECT_FALSE(fs::exists(path_ + ".tmp"));
+  // Saving over the existing snapshot too must leave the directory
+  // holding the snapshot alone: no temp file of any name.
+  const workloads::Workload& w = workloads::find_workload(spec_.workload);
+  System system(build_config(spec_), w, spec_.params);
+  system.save(path_);
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"snap.vckpt"});
 }
 
 TEST_F(CheckpointFile, TruncatedFileFailsCleanly) {

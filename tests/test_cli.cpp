@@ -5,11 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "json_checker.hpp"
+#include "common/json_parse.hpp"
 
 namespace {
 
@@ -174,7 +175,7 @@ TEST(Cli, SweepJsonIsValid) {
       "--sweep --workload reduce --threads 2,4 --iters 16 --elements 4096 "
       "--jobs 2 --json");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   ASSERT_TRUE(v.is_array());
   ASSERT_EQ(v.array.size(), 2u);
   EXPECT_EQ(v.array[1].at("spec").at("threads").number, 4.0);
@@ -244,7 +245,7 @@ TEST(Cli, CheckpointFlagsRejectedInSweepMode) {
 }
 
 TEST(Cli, ResumeRequiresSweepMode) {
-  const CliResult r = run_cli("--iters 16 --resume journal.vjl");
+  const CliResult r = run_cli("--iters 16 --resume sweep-store");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("--sweep"), std::string::npos) << r.output;
 }
@@ -258,11 +259,11 @@ TEST(Cli, MaxCyclesWatchdogNamesStuckCore) {
 }
 
 TEST(Cli, SweepResumeReproducesCleanCsv) {
-  // Kill-and-resume, CLI flavour: run half the grid against a journal,
-  // then the full grid against the same journal; the resumed CSV must
+  // Kill-and-resume, CLI flavour: run half the grid against a store,
+  // then the full grid against the same store; the resumed CSV must
   // equal the clean uninterrupted run's byte for byte.
-  const std::string journal = ::testing::TempDir() + "virec_cli_resume.vjl";
-  std::remove(journal.c_str());
+  const std::string store = ::testing::TempDir() + "virec_cli_resume";
+  std::filesystem::remove_all(store);
   const std::string tail =
       " --threads 4 --iters 16 --elements 4096 --jobs 2";
   const CliResult clean =
@@ -270,21 +271,21 @@ TEST(Cli, SweepResumeReproducesCleanCsv) {
   ASSERT_EQ(clean.exit_code, 0) << clean.output;
   const CliResult half = run_cli(
       "--sweep --workload gather --scheme banked,virec" + tail +
-      " --resume " + journal);
+      " --resume " + store);
   ASSERT_EQ(half.exit_code, 0) << half.output;
   const CliResult resumed = run_cli(
       "--sweep --workload gather,reduce --scheme banked,virec" + tail +
-      " --resume " + journal);
+      " --resume " + store);
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
   // stderr (captured alongside stdout) carries the resume banner; the
   // CSV part must match the clean run exactly.
-  EXPECT_NE(resumed.output.find("2 of 4 point(s) already journalled"),
+  EXPECT_NE(resumed.output.find("2 of 4 point(s) already in the store"),
             std::string::npos)
       << resumed.output;
   const std::string csv =
       resumed.output.substr(resumed.output.find("workload,"));
   EXPECT_EQ(csv, clean.output);
-  std::remove(journal.c_str());
+  std::filesystem::remove_all(store);
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +347,7 @@ TEST(Cli, JsonReportIsValidAndComplete) {
   const CliResult r = run_cli(
       "--workload gather --scheme virec --iters 32 --elements 4096 --json");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   EXPECT_EQ(v.at("config").at("workload").string, "gather");
   EXPECT_EQ(v.at("config").at("scheme").string, "virec");
   EXPECT_TRUE(v.at("results").at("check_ok").boolean);
@@ -369,15 +370,15 @@ TEST(Cli, JsonToFileKeepsTextReport) {
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
-  const auto v = virec::testing::JsonParser::parse(ss.str());
-  EXPECT_TRUE(v.has("results"));
+  const auto v = virec::json_parse(ss.str());
+  EXPECT_TRUE(v.find("results") != nullptr);
 }
 
 TEST(Cli, SampleIntervalAddsTimeSeries) {
   const CliResult r = run_cli(
       "--iters 32 --elements 4096 --json --sample-interval 200");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   const auto& ts = v.at("time_series");
   EXPECT_DOUBLE_EQ(ts.at("interval").number, 200.0);
   ASSERT_FALSE(ts.at("samples").array.empty());
@@ -395,13 +396,13 @@ TEST(Cli, TraceOutIsWellFormedEventArray) {
   ASSERT_TRUE(in.good());
   std::stringstream ss;
   ss << in.rdbuf();
-  const auto v = virec::testing::JsonParser::parse(ss.str());
+  const auto v = virec::json_parse(ss.str());
   ASSERT_TRUE(v.is_array());
   ASSERT_FALSE(v.array.empty());
   bool saw_residency = false;
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
-    ASSERT_TRUE(e.has("ph"));
+    ASSERT_TRUE(e.find("ph") != nullptr);
     if (e.at("ph").string == "X" && e.at("cat").string == "residency") {
       saw_residency = true;
     }
@@ -426,7 +427,7 @@ TEST(Cli, SampledJsonCarriesWindows) {
       "--workload gather --iters 2048 --elements 4096 "
       "--sample-windows 5 --window-insts 300 --warmup-insts 150 --json");
   ASSERT_EQ(r.exit_code, 0) << r.output;
-  const auto v = virec::testing::JsonParser::parse(r.output);
+  const auto v = virec::json_parse(r.output);
   ASSERT_TRUE(v.is_object());
   const auto& tiered = v.at("tiered");
   EXPECT_EQ(tiered.at("windows").array.size(), 5u);

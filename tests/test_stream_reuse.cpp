@@ -254,6 +254,31 @@ TEST(StreamReuse, CodecRoundTrip) {
   fs::remove_all(dir);
 }
 
+TEST(StreamReuse, EveryByteFlipReadsAsMiss) {
+  RunSpec spec = sampled_spec("stride", Scheme::kViReC, core::PolicyKind::kLRC);
+  spec.params.iters_per_thread = 4;
+  System system(build_config(spec), workloads::find_workload(spec.workload),
+                spec.params);
+  const auto stream = build_func_stream(system, /*identity=*/0x1234);
+  const fs::path dir = scratch_dir("flip");
+  const std::string path = (dir / "s.vfs").string();
+  ASSERT_TRUE(save_func_stream(path, *stream));
+  std::ifstream in(path, std::ios::binary);
+  const std::string good((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_NE(load_func_stream(path, 0x1234), nullptr);
+
+  // Header, records and CRC alike: any flipped byte reads as a miss.
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+    ASSERT_EQ(load_func_stream(path, 0x1234), nullptr) << "byte " << i;
+  }
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint interop: a snapshot taken mid-sampled-run embeds the
 // stream, so a restore into a fresh process (empty StreamCache, no

@@ -5,6 +5,8 @@
 // socket line transport. The end-to-end daemon path (virec-simd +
 // virec-sim --connect) is exercised by the CI service smoke job.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -54,6 +56,15 @@ sim::RunResult synthetic_result() {
     r.cpi_stack[b] = 0.001 * static_cast<double>(b + 1);
   }
   return r;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 std::string temp_dir(const std::string& name) {
@@ -182,31 +193,27 @@ TEST(ResultStore, IdentityMismatchReadsAsMiss) {
   EXPECT_TRUE(store.lookup(hash, spec, &out));
 }
 
-TEST(ResultStore, CorruptEntryReadsAsMissAndVerifyRepairs) {
+TEST(ResultStore, EveryByteFlipReadsAsMissAndVerifyRepairs) {
   svc::ResultStore store(temp_dir("store_corrupt"));
   const sim::RunSpec spec = quick_spec();
   const u64 hash = ckpt::spec_hash(spec);
   store.put(hash, spec, synthetic_result());
-
-  // Flip a byte in the middle of the entry file.
   const std::string path = store.entry_path(hash);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(40);
-    char b = 0;
-    f.read(&b, 1);
-    f.seekp(40);
-    b = static_cast<char>(b ^ 0x5a);
-    f.write(&b, 1);
-  }
-  sim::RunResult out;
-  EXPECT_FALSE(store.lookup(hash, spec, &out));
+  const std::string good = read_bytes(path);
 
-  svc::ResultStore::VerifyReport report = store.verify(/*repair=*/false);
-  EXPECT_EQ(report.total, 1u);
-  EXPECT_EQ(report.corrupt, 1u);
+  // Flip each byte of the entry in turn — header, provenance, identity,
+  // payload and both CRCs: every variant reads as a miss and verifies
+  // as corrupt.
+  sim::RunResult out;
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] = static_cast<char>(bad[i] ^ 0x5a);
+    write_bytes(path, bad);
+    ASSERT_FALSE(store.lookup(hash, spec, &out)) << "byte " << i;
+    ASSERT_EQ(store.verify(/*repair=*/false).corrupt, 1u) << "byte " << i;
+  }
   EXPECT_EQ(store.size(), 1u);  // report-only: file kept
-  report = store.verify(/*repair=*/true);
+  const svc::ResultStore::VerifyReport report = store.verify(/*repair=*/true);
   EXPECT_EQ(report.corrupt, 1u);
   EXPECT_EQ(store.size(), 0u);
 
@@ -214,6 +221,68 @@ TEST(ResultStore, CorruptEntryReadsAsMissAndVerifyRepairs) {
   store.put(hash, spec, synthetic_result());
   std::filesystem::resize_file(path, 10);
   EXPECT_FALSE(store.lookup(hash, spec, &out));
+}
+
+TEST(ResultStore, ConcurrentWritersLeaveOneValidEntry) {
+  // Threads of this process and a pair of forked processes put the same
+  // point at once while a reader looks it up: every lookup hits (no
+  // torn file is ever visible), and the store ends with exactly one
+  // valid entry and no temp file.
+  const std::string dir = temp_dir("store_race");
+  svc::ResultStore store(dir);
+  const sim::RunSpec spec = quick_spec();
+  const u64 hash = ckpt::spec_hash(spec);
+  const sim::RunResult r = synthetic_result();
+  store.put(hash, spec, r);
+  constexpr int kPuts = 200;
+
+  std::vector<pid_t> children;
+  for (int c = 0; c < 2; ++c) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      for (int i = 0; i < kPuts; ++i) store.put(hash, spec, r);
+      _exit(0);
+    }
+    children.push_back(pid);
+  }
+  std::atomic<int> writers_left{4};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPuts; ++i) store.put(hash, spec, r);
+      --writers_left;
+    });
+  }
+  threads.emplace_back([&] {
+    sim::RunResult out;
+    while (writers_left > 0) {
+      if (!store.lookup(hash, spec, &out)) ++misses;
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+
+  EXPECT_EQ(misses.load(), 0);
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{
+                       std::filesystem::path(store.entry_path(hash))
+                           .filename()
+                           .string()});
+  sim::RunResult out;
+  ASSERT_TRUE(store.lookup(hash, spec, &out));
+  EXPECT_EQ(out.cycles, r.cycles);
+  const svc::ResultStore::VerifyReport report = store.verify(false);
+  EXPECT_EQ(report.total, 1u);
+  EXPECT_EQ(report.ok, 1u);
 }
 
 TEST(ResultStore, GcKeepsNewestEntries) {
@@ -596,6 +665,9 @@ TEST(JsonParse, ParsesDocumentsAndRejectsMalformed) {
 
   EXPECT_THROW(json_parse("{\"a\":1,\"a\":2}"), JsonParseError);  // dup key
   EXPECT_THROW(json_parse("{\"a\":1} trailing"), JsonParseError);
+  EXPECT_THROW(json_parse("[1, 2] trailing"), JsonParseError);
+  EXPECT_THROW(json_parse("{\"a\": 1,}"), JsonParseError);  // stray comma
+  EXPECT_THROW(json_parse("{\"a\": 1 \"b\": 2}"), JsonParseError);
   EXPECT_THROW(json_parse("{\"a\":}"), JsonParseError);
   EXPECT_THROW(json_parse("{\"a\":1"), JsonParseError);  // unterminated
   EXPECT_THROW(json_parse(""), JsonParseError);

@@ -1,17 +1,15 @@
 // Sweep utility tests.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/journal.hpp"
 #include "sim/sweep.hpp"
+#include "svc/result_store.hpp"
+#include "svc/sweep_service.hpp"
 
 namespace virec::sim {
 namespace {
@@ -22,6 +20,25 @@ Sweep tiny_sweep() {
   sweep.base().params.iters_per_thread = 32;
   sweep.base().params.elements = 1 << 12;
   return sweep;
+}
+
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Sweep::run against @p store; *executed counts the points it
+/// simulated (store hits report 0 s, once, up front).
+SweepResults run_counting(const Sweep& sweep, u32 jobs,
+                          svc::ResultStore* store, std::size_t* executed) {
+  std::atomic<std::size_t> runs{0};
+  SweepResults results =
+      sweep.run(jobs, store, [&runs](std::size_t, std::size_t, double secs) {
+        if (secs > 0.0) ++runs;
+      });
+  *executed = runs.load();
+  return results;
 }
 
 TEST(Sweep, GridSizeIsProduct) {
@@ -162,30 +179,31 @@ TEST(Sweep, FailingPointPropagatesFromParallelRun) {
 }
 
 TEST(Sweep, ResumedRunIsByteIdenticalToUninterrupted) {
-  // Simulate a killed sweep: journal only half the grid, then resume
-  // against the same journal. The resumed CSV and JSON must reproduce
-  // an uninterrupted run byte for byte.
+  // Simulate a killed sweep: store only half the grid, then resume
+  // against the same store. The resumed CSV and JSON must reproduce an
+  // uninterrupted run byte for byte.
   Sweep sweep = tiny_sweep();
   sweep.over_schemes({Scheme::kBanked, Scheme::kViReC})
       .over_policies({core::PolicyKind::kPLRU, core::PolicyKind::kLRC})
       .over_threads({2, 4});
-  const std::string path = ::testing::TempDir() + "sweep_resume.vjl";
-  std::remove(path.c_str());
+  const std::string dir = fresh_dir("sweep_resume");
 
   const SweepResults clean = sweep.run(2);
 
   {
-    // "First run, killed partway": journal the first half of the grid.
-    ckpt::SweepJournal journal(path);
+    // "First run, killed partway": the first half of the grid is stored.
+    svc::ResultStore store(dir);
     const std::vector<RunSpec> grid = sweep.specs();
     for (std::size_t i = 0; i < grid.size() / 2; ++i) {
-      journal.record(ckpt::spec_hash(grid[i]), run_spec(grid[i]));
+      store.put(ckpt::spec_hash(grid[i]), grid[i], run_spec(grid[i]));
     }
   }
 
-  ckpt::SweepJournal journal(path);
-  EXPECT_EQ(journal.load(), sweep.size() / 2);
-  const SweepResults resumed = sweep.run(2, &journal);
+  svc::ResultStore store(dir);
+  EXPECT_EQ(store.size(), sweep.size() / 2);
+  std::size_t executed = 0;
+  const SweepResults resumed = run_counting(sweep, 2, &store, &executed);
+  EXPECT_EQ(executed, sweep.size() - sweep.size() / 2);
 
   std::ostringstream csv_clean, csv_resumed, json_clean, json_resumed;
   clean.write_csv(csv_clean);
@@ -195,15 +213,16 @@ TEST(Sweep, ResumedRunIsByteIdenticalToUninterrupted) {
   EXPECT_EQ(csv_clean.str(), csv_resumed.str());
   EXPECT_EQ(json_clean.str(), json_resumed.str());
 
-  // The resume appended the other half, so a second resume runs nothing
+  // The resume stored the other half, so a second resume runs nothing
   // new and still reproduces the same documents.
-  ckpt::SweepJournal full(path);
-  EXPECT_EQ(full.load(), sweep.size());
-  const SweepResults replay = sweep.run(1, &full);
+  svc::ResultStore full(dir);
+  EXPECT_EQ(full.size(), sweep.size());
+  const SweepResults replay = run_counting(sweep, 1, &full, &executed);
+  EXPECT_EQ(executed, 0u);
   std::ostringstream csv_replay;
   replay.write_csv(csv_replay);
   EXPECT_EQ(csv_clean.str(), csv_replay.str());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, DuplicateGridPointsSimulateOnce) {
@@ -224,98 +243,53 @@ TEST(Sweep, DuplicateGridPointsSimulateOnce) {
   EXPECT_EQ(results.records()[0].result.cycles,
             results.records()[3].result.cycles);
 
-  // With a journal, only the unique points are recorded — and the
+  // With a store, only the unique points are stored — and the
   // progress callback still reports every grid index as done.
-  const std::string path = ::testing::TempDir() + "sweep_dup.vjl";
-  std::remove(path.c_str());
+  const std::string dir = fresh_dir("sweep_dup");
+  svc::ResultStore store(dir);
   std::atomic<std::size_t> last_done{0};
-  {
-    ckpt::SweepJournal journal(path);
-    sweep.run(1, &journal,
-              [&last_done](std::size_t done, std::size_t, double) {
-                last_done = done;
-              });
-  }
+  sweep.run(1, &store, [&last_done](std::size_t done, std::size_t, double) {
+    last_done = done;
+  });
   EXPECT_EQ(last_done.load(), 4u);
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), 2u);  // one entry per unique point
+  EXPECT_EQ(store.size(), 2u);  // one entry per unique point
 
-  // Resuming from that journal runs nothing and reproduces the same CSV.
-  const SweepResults resumed = sweep.run(1, &reread);
+  // Resuming from that store runs nothing and reproduces the same CSV.
+  std::size_t executed = 0;
+  const SweepResults resumed = run_counting(sweep, 1, &store, &executed);
+  EXPECT_EQ(executed, 0u);
   std::ostringstream csv_resumed;
   resumed.write_csv(csv_resumed);
   EXPECT_EQ(csv, csv_resumed.str());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
-TEST(Sweep, ConcurrentWritersInterleaveSafely) {
-  // Several processes appending to one journal (the documented
-  // multi-daemon / multi-sweep sharing mode): every record must survive
-  // intact. Forked writers stress the flock + single-write(2) protocol
-  // with interleaved appends; synthetic results keep it fast.
-  const std::string path = ::testing::TempDir() + "sweep_flock.vjl";
-  std::remove(path.c_str());
-  constexpr u64 kWriters = 4;
-  constexpr u64 kRecords = 64;
-
-  std::vector<pid_t> pids;
-  for (u64 w = 0; w < kWriters; ++w) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      // Child: append kRecords entries, racing its siblings.
-      ckpt::SweepJournal journal(path);
-      for (u64 r = 0; r < kRecords; ++r) {
-        RunResult result;
-        result.cycles = w * 1000 + r;
-        result.instructions = r + 1;
-        result.ipc = static_cast<double>(w);
-        result.check_ok = true;
-        journal.record((w << 32) | r, result);
-      }
-      _exit(0);
-    }
-    pids.push_back(pid);
-  }
-  for (const pid_t pid : pids) {
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  }
-
-  // No torn or lost lines: all writers' records load back exactly.
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), kWriters * kRecords);
-  EXPECT_FALSE(reread.provenance().empty());  // header written once
-  for (u64 w = 0; w < kWriters; ++w) {
-    for (u64 r = 0; r < kRecords; ++r) {
-      RunResult out;
-      ASSERT_TRUE(reread.lookup((w << 32) | r, &out)) << w << "/" << r;
-      EXPECT_EQ(out.cycles, w * 1000 + r);
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Sweep, JournalIgnoresForeignAndCorruptLines) {
-  const std::string path = ::testing::TempDir() + "sweep_corrupt.vjl";
-  {
-    std::ofstream out(path);
-    out << "garbage line that is not a journal record\n";
-    out << "VJ1 0123456789abcdef 10 20\n";  // truncated record
-  }
-  ckpt::SweepJournal journal(path);
-  EXPECT_EQ(journal.load(), 0u);  // both lines rejected, none crash
-  // A fresh record still round-trips through the same file.
+TEST(Sweep, ResumesFromStoreFilledByService) {
+  // One store serves every consumer: a grid a SweepService (the
+  // virec-simd core) executed resumes as a local sweep with nothing
+  // left to simulate, and reproduces the service's results exactly.
   Sweep sweep = tiny_sweep();
-  const RunSpec spec = sweep.specs().front();
-  journal.record(ckpt::spec_hash(spec), run_spec(spec));
-  ckpt::SweepJournal reread(path);
-  EXPECT_EQ(reread.load(), 1u);
-  RunResult out;
-  EXPECT_TRUE(reread.lookup(ckpt::spec_hash(spec), &out));
-  EXPECT_EQ(out.cycles, run_spec(spec).cycles);
-  std::remove(path.c_str());
+  sweep.over_schemes({Scheme::kBanked, Scheme::kViReC}).over_threads({2, 4});
+  const std::string dir = fresh_dir("sweep_from_service");
+  svc::ResultStore store(dir);
+  {
+    svc::SweepService service(svc::ServiceConfig{}, &store);
+    svc::SweepTicket ticket = service.submit(
+        "test", sweep.specs(),
+        [](std::size_t, const RunResult*, svc::PointSource,
+           const std::string&) {});
+    ticket.wait();
+    EXPECT_EQ(ticket.counts().executed, sweep.size());
+  }
+
+  std::size_t executed = 0;
+  const SweepResults resumed = run_counting(sweep, 2, &store, &executed);
+  EXPECT_EQ(executed, 0u);
+  std::ostringstream csv_clean, csv_resumed;
+  sweep.run(1).write_csv(csv_clean);
+  resumed.write_csv(csv_resumed);
+  EXPECT_EQ(csv_clean.str(), csv_resumed.str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
